@@ -15,10 +15,10 @@ import (
 // AblationCache sweeps the verified-proof cache over the Fig. 16a
 // measurement window: for each cache size a fresh EBV node replays the
 // chain and the window blocks' validation breakdown is reported twice —
-// cold (the cache sees every proof for the first time inside
-// ConnectBlock) and mempool-warmed (every window transaction is first
-// admitted through ValidateTx, the relay path, so block validation
-// finds its proofs already verified). Warming time is excluded: only
+// cold (nothing admitted, so every proof misses: ConnectBlock probes
+// the cache but never inserts) and mempool-warmed (every window
+// transaction is first admitted through ValidateTx, the relay path, so
+// block validation finds its proofs already verified). Warming time is excluded: only
 // the ConnectBlock breakdown is measured, and the warming pass uses a
 // separate decode of each block so hash memoization cannot leak warmth
 // into the measured run. size 0 is the uncached baseline the speedup
@@ -128,8 +128,9 @@ func (e *Env) ebvWindowCached(n *node.EBVNode, start uint64, warm bool) (*core.B
 	for h := uint64(0); h < start+WindowLen; h++ {
 		if h == start {
 			// Scope the cache counters to the measurement window: the
-			// replay up to here fills and churns the cache, and its
-			// evictions must not be charged to the window rows.
+			// replay up to here probes the cache (block connect never
+			// inserts), and its misses must not be charged to the
+			// window rows.
 			if c := n.Validator.Cache(); c != nil {
 				c.ResetStats()
 			}

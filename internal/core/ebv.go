@@ -66,9 +66,13 @@ func WithParallelValidation(workers int) EBVOption {
 // skip the EV Merkle fold and the SV script execution. UV, duplicate-
 // spend detection, maturity, and value conservation always run live:
 // they depend on mutable chain state a past verdict cannot speak for.
-// Both ConnectBlock paths consult the cache; ValidateInput (and so
-// mempool admission via ValidateTx) consults and populates it, which
-// is what pre-warms block validation on the relay path.
+// Admission is the cache's only writer: ValidateInput (so mempool
+// admission via ValidateTx) and ValidateTxsBatch populate it, which
+// pre-warms block validation on the relay path. Every block-connect
+// route only probes it: a block's proofs spend now-spent outputs, so
+// their keys could hit again only when a reorg reconnects the same
+// transaction, which then misses and runs the full checks (Bitcoin
+// Core's ConnectBlock likewise reads its script cache, never writes it).
 func WithVerificationCache(c *vcache.Cache) EBVOption {
 	return func(v *EBVValidator) { v.vcache = c }
 }
@@ -413,8 +417,6 @@ func (v *EBVValidator) ConnectBlockIn(b *blockmodel.EBVBlock, s *ingest.Scratch)
 					return bd, fmt.Errorf("tx %d input %d: %w", ti, bi, err)
 				}
 				if v.parallel > 1 {
-					// Deferred SV: the verdict is unknown here, so the
-					// key is not inserted for this input.
 					deferred = append(deferred, svTask{
 						unlock: body.UnlockScript, lock: out.LockScript,
 						sigHash: sigHash, tx: ti, input: bi,
@@ -426,9 +428,6 @@ func (v *EBVValidator) ConnectBlockIn(b *blockmodel.EBVBlock, s *ingest.Scratch)
 						return bd, fmt.Errorf("tx %d input %d: %w: %v", ti, bi, ErrScriptFailed, err)
 					}
 					sw.lap(&bd.SV)
-					if keyOK {
-						v.vcache.Add(key)
-					}
 				}
 			}
 			// The EV/UV/SV work above was timed by its own stopwatches;

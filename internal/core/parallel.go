@@ -149,8 +149,8 @@ func (v *EBVValidator) verifyTx(tx *txmodel.EBVTx) *txVerdict {
 		body := &tx.Bodies[bi]
 		// Verified-proof cache: a hit stands in for a clean EV fold and
 		// script execution; the reduce still runs UV and every other
-		// live-state check. The cache is concurrency-safe, so workers
-		// probe and insert without coordination.
+		// live-state check. Connect only probes (admission is the
+		// cache's sole writer), and probes need no coordination.
 		key, keyOK := v.cacheKey(body, sigHash)
 		if keyOK {
 			sw := newStopwatch()
@@ -178,9 +178,6 @@ func (v *EBVValidator) verifyTx(tx *txmodel.EBVTx) *txVerdict {
 		sw = newStopwatch()
 		iv.svErr = v.engine.Execute(body.UnlockScript, out.LockScript, sigHash)
 		sw.lap(&iv.sv)
-		if iv.svErr == nil && keyOK {
-			v.vcache.Add(key)
-		}
 	}
 	return tv
 }

@@ -137,6 +137,50 @@ func TestValidateInputCacheStats(t *testing.T) {
 	}
 }
 
+// TestConnectNeverInsertsIntoCache pins the cache's write rule:
+// admission is its only writer, and block connect only probes. On
+// every connect route, a cold cache stays empty through the chain
+// replay and through the last block, whose every input misses. (The
+// admission side — a mempool-warmed block hitting on every input — is
+// TestCachePoisoningRejectedIdentically's closing check.)
+func TestConnectNeverInsertsIntoCache(t *testing.T) {
+	f := newFixture(t, 150)
+	routes := []struct {
+		name    string
+		opts    []EBVOption
+		connect func(v *EBVValidator, b *blockmodel.EBVBlock) (*Breakdown, error)
+	}{
+		{"sequential", nil, (*EBVValidator).ConnectBlock},
+		{"parallel", []EBVOption{WithParallelValidation(4)}, (*EBVValidator).ConnectBlock},
+		{"preverified", nil, func(v *EBVValidator, b *blockmodel.EBVBlock) (*Breakdown, error) {
+			pv, err := v.Preverify(b, nil, 4)
+			if err != nil {
+				return pv.Breakdown(), err
+			}
+			return v.ConnectPreverified(b, pv)
+		}},
+	}
+	for _, r := range routes {
+		t.Run(r.name, func(t *testing.T) {
+			v, _ := syncedEBV(t, f, append(r.opts, WithVerificationCache(vcache.New(0)))...)
+			if n := v.Cache().Len(); n != 0 {
+				t.Fatalf("chain replay inserted %d cache entries, want 0", n)
+			}
+			bd, err := r.connect(v, f.lastEBV)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := v.Cache().Len(); n != 0 {
+				t.Fatalf("connecting the last block inserted %d cache entries, want 0", n)
+			}
+			if bd.Inputs == 0 || bd.CacheMisses != bd.Inputs || bd.CacheHits != 0 {
+				t.Fatalf("cold connect must miss on every input: hits=%d misses=%d inputs=%d",
+					bd.CacheHits, bd.CacheMisses, bd.Inputs)
+			}
+		})
+	}
+}
+
 // TestCachePoisoningRejectedIdentically is the cache-poisoning
 // adversarial suite: after the cache has been warmed with the honest
 // last block's transactions through the mempool path, every

@@ -136,8 +136,12 @@ func TestWarmConnectAllocBudget(t *testing.T) {
 	if inputs == 0 {
 		t.Skip("last block spends nothing")
 	}
+	// Warm the proof cache the way production does — admission — then
+	// the scratch, pools, and slabs with a few cycles (connect only
+	// probes the cache).
+	warmFromMempool(t, v, f.lastEBV)
 	s := ingest.NewScratch()
-	for i := 0; i < 3; i++ { // warm the proof cache, pools, and slabs
+	for i := 0; i < 3; i++ {
 		warmConnectCycle(t, v, mh, s, raw)
 	}
 	const rounds = 10
@@ -155,14 +159,16 @@ func TestWarmConnectAllocBudget(t *testing.T) {
 }
 
 // BenchmarkWarmDecodeConnect is the -benchmem form of the same gate:
-// zero-copy decode from wire bytes plus warm-cache connect, cycled via
-// disconnect. scripts/check.sh runs it with -benchmem and fails when
-// allocs/op regresses past the block's input count.
+// zero-copy decode from wire bytes plus connect against a
+// mempool-warmed cache, cycled via disconnect. scripts/check.sh runs it
+// with -benchmem and fails when allocs/op regresses past the block's
+// input count.
 func BenchmarkWarmDecodeConnect(b *testing.B) {
 	f := newFixture(b, 120)
 	v, mh := wireValidator(b, f)
 	raw := f.lastEBV.Encode(nil)
 	inputs := f.lastEBV.TotalInputs()
+	warmFromMempool(b, v, f.lastEBV)
 	s := ingest.NewScratch()
 	for i := 0; i < 3; i++ {
 		warmConnectCycle(b, v, mh, s, raw)

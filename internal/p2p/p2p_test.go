@@ -731,6 +731,17 @@ func TestByteCounters(t *testing.T) {
 	if fresh.BytesRead() == 0 || fresh.BytesWritten() == 0 {
 		t.Fatalf("counters: read %d written %d", fresh.BytesRead(), fresh.BytesWritten())
 	}
+	// The writer records its bytes after Write returns, so the reader
+	// can count them first; compare only once both counters have held
+	// still for 50ms.
+	lastW, lastR, moved := int64(-1), int64(-1), time.Now()
+	waitFor(t, "byte counters to settle", func() bool {
+		w, r := seed.BytesWritten(), fresh.BytesRead()
+		if w != lastW || r != lastR {
+			lastW, lastR, moved = w, r, time.Now()
+		}
+		return time.Since(moved) >= 50*time.Millisecond
+	})
 	if seed.BytesWritten() < fresh.BytesRead() {
 		t.Fatalf("seed wrote %d < fresh read %d", seed.BytesWritten(), fresh.BytesRead())
 	}

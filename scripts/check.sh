@@ -26,6 +26,12 @@ echo "== go test -race =="
 # sharded status database's two-phase commit and shallow snapshots.
 go test -race ./...
 
+echo "== flake loop (concurrent soak, byte counters) =="
+# Both tests once failed only some of the time; -count=20 (which also
+# bypasses the test cache) makes a reintroduced flake fail here instead
+# of intermittently.
+go test -count=20 -run 'TestStatusDBConcurrentSoak|TestByteCounters' ./internal/statusdb ./internal/p2p
+
 echo "== allocation gate (warm ingest path) =="
 # The zero-alloc tests carry a !race build tag (race instrumentation
 # skews allocation accounting), so the -race pass above never sees
