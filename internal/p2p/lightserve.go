@@ -186,7 +186,10 @@ func (n *Node) lightDropPeer(p *peer) {
 
 // lightDrain delivers one subscriber's queued notifications in order,
 // folding any accumulated drop signal into the flag byte of the next
-// delivery. A send failure ends the drain; the read side will tear the
+// delivery. Each subupdate waits for the peer's out-queue to drain
+// first, so undelivered notifications stay in s.queue, where overflow
+// sets the drop flag, rather than piling up in the peer queue. A send
+// failure ends the drain; the peer is closed, the read side tears the
 // connection down and lightDropPeer unindexes the subscription.
 func (n *Node) lightDrain(s *lightSub) {
 	for {
@@ -196,10 +199,10 @@ func (n *Node) lightDrain(s *lightSub) {
 			if s.dropped.Swap(false) {
 				flags |= 1
 			}
-			err := s.p.send(&wire.Message{
+			err := s.p.sendPaced(&wire.Message{
 				Kind: wire.SubUpdate, Height: nt.height, Hash: nt.hash,
 				Count: nt.matched, Code: flags,
-			})
+			}, 0)
 			if err != nil {
 				return
 			}

@@ -1,7 +1,6 @@
 package p2p
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"math/big"
@@ -51,8 +50,10 @@ type Config struct {
 	// handshake; a peer silent for longer is dropped instead of
 	// pinning its handler goroutine forever. Default 2 minutes.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds each outbound message write, so a peer that
-	// stops draining its socket cannot block senders indefinitely.
+	// WriteTimeout bounds one drain of a peer's out-queue: every frame
+	// queued when the drain began is written and flushed under a single
+	// deadline, and a peer whose drain stalls for longer is dropped, so
+	// a peer that stops reading holds neither its queue nor any sender.
 	// Default 30 seconds.
 	WriteTimeout time.Duration
 	// Snapshots, if set, serves state snapshots to fast-syncing peers
@@ -115,42 +116,10 @@ type Node struct {
 	relay relayState
 	light lightState
 
+	// queueBudget is each peer's out-queue byte budget (see peer.go).
+	queueBudget int
+
 	wg sync.WaitGroup
-}
-
-// peer is one live connection.
-type peer struct {
-	id           string
-	conn         net.Conn
-	r            *bufio.Reader
-	writeTimeout time.Duration
-	// features holds the peer's hello feature bits. Atomic because
-	// announce() consults it from the submitting goroutine while the
-	// handshake may still be writing it; until the hello arrives it
-	// reads zero and the peer is treated as featureless.
-	features  atomic.Uint32
-	nonce     uint64 // our hello nonce: the salt for compact blocks we announce here
-	peerNonce uint64 // the peer's hello nonce: the salt for compact blocks it announces
-	strikes   atomic.Int32
-
-	traffic *traffic
-
-	wmu sync.Mutex
-	w   *bufio.Writer
-}
-
-func (p *peer) hasFeature(bit byte) bool {
-	return byte(p.features.Load())&bit != 0
-}
-
-func (p *peer) send(m *wire.Message) error {
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-	p.conn.SetWriteDeadline(time.Now().Add(p.writeTimeout))
-	n, err := wire.WriteCounted(p.w, m)
-	p.conn.SetWriteDeadline(time.Time{})
-	p.traffic.count(m.Kind, n, false)
-	return err
 }
 
 // NewNode creates a gossip node over chain.
@@ -167,7 +136,7 @@ func NewNode(chain Chain, cfg Config) *Node {
 	if cfg.RelayTimeout <= 0 {
 		cfg.RelayTimeout = 5 * time.Second
 	}
-	n := &Node{chain: chain, cfg: cfg, peers: make(map[string]*peer)}
+	n := &Node{chain: chain, cfg: cfg, peers: make(map[string]*peer), queueBudget: defaultQueueBudget}
 	n.relay.init()
 	n.light.init()
 	return n
@@ -283,7 +252,7 @@ func (n *Node) Close() error {
 		n.ln.Close()
 	}
 	for _, p := range n.peers {
-		p.conn.Close()
+		p.close(nil)
 	}
 	n.mu.Unlock()
 	n.wg.Wait()
@@ -293,16 +262,8 @@ func (n *Node) Close() error {
 // handleConn runs the lifetime of one connection (either direction).
 func (n *Node) handleConn(raw net.Conn) {
 	conn := &countingConn{Conn: raw, in: &n.bytesIn, out: &n.bytesOut}
-	p := &peer{
-		id:           raw.RemoteAddr().String(),
-		conn:         conn,
-		r:            bufio.NewReader(conn),
-		w:            bufio.NewWriter(conn),
-		writeTimeout: n.cfg.WriteTimeout,
-		nonce:        newNonce(),
-		traffic:      &n.traffic,
-	}
-	defer conn.Close()
+	p := newPeer(raw.RemoteAddr().String(), conn, n.cfg.WriteTimeout, n.queueBudget, &n.traffic)
+	defer p.close(nil)
 
 	n.mu.Lock()
 	if n.closing || len(n.peers) >= n.cfg.MaxPeers {
@@ -326,15 +287,23 @@ func (n *Node) handleConn(raw net.Conn) {
 
 	// Handshake: exchange tips, feature bits, (between fork-choice
 	// peers) cumulative tip work, and (between compact-relay peers) the
-	// short-id salt nonces.
+	// short-id salt nonces. The tip is read after registration, so a
+	// block accepted meanwhile is either in it or announced to p.
 	tip, ok := n.chain.TipHeight()
 	hello := &wire.Message{Kind: wire.Hello, Height: tipField(tip, ok), Features: n.features(), Nonce: p.nonce}
 	if n.cfg.Forks != nil {
 		hello.TipWork = n.cfg.Forks.TipWork()
 	}
-	if err := p.send(hello); err != nil {
-		return
-	}
+	// Such an announcement may already be queued, but p's writer has
+	// not started yet: the hello goes to the head of the queue and is
+	// the first frame on the wire.
+	p.sendFirst(hello)
+	n.wg.Add(1)
+	go func() {
+		defer n.wg.Done()
+		p.writeLoop()
+	}()
+
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	first, err := wire.Read(p.r)
 	if err != nil || first.Kind != wire.Hello {
@@ -370,6 +339,9 @@ func (n *Node) handleConn(raw net.Conn) {
 			if errors.Is(err, wire.ErrUnknownKind) {
 				n.logf("peer %s: skipping unknown message kind %d", p.id, m.Kind)
 				continue
+			}
+			if cause := p.closeReason(); cause != nil {
+				err = cause
 			}
 			n.logf("peer %s: read: %v", p.id, err)
 			return
@@ -457,7 +429,11 @@ func (n *Node) handleMessage(p *peer, m *wire.Message) error {
 				}
 				return fmt.Errorf("serving block %d: %w", h, err)
 			}
-			if err := p.send(&wire.Message{Kind: wire.Block, Height: h, Payload: raw}); err != nil {
+			// Paced, not queued outright: this loop runs on the requester's
+			// own reader goroutine, so waiting for its queue to drain holds
+			// back only that peer, and half the budget stays free for
+			// announcements and acks.
+			if err := p.sendPaced(&wire.Message{Kind: wire.Block, Height: h, Payload: raw}, p.budget/2); err != nil {
 				return err
 			}
 		}
@@ -531,7 +507,8 @@ func (n *Node) handleMessage(p *peer, m *wire.Message) error {
 			if !ok {
 				continue // evicted or never had it; peer re-resolves via headers
 			}
-			if err := p.send(&wire.Message{Kind: wire.Block, Height: height, Payload: raw}); err != nil {
+			// Paced like the getblocks loop above.
+			if err := p.sendPaced(&wire.Message{Kind: wire.Block, Height: height, Payload: raw}, p.budget/2); err != nil {
 				return err
 			}
 		}
@@ -569,9 +546,11 @@ func (n *Node) handleMessage(p *peer, m *wire.Message) error {
 		// reader goroutine — parallel across connections, lock-free —
 		// and the verdict callback fires either synchronously (intake
 		// rejection) or from the admission collector after the batch
-		// commits. p.send serializes on the peer's write lock, bounded
-		// by WriteTimeout, so a stalled submitter cannot wedge the
-		// collector for longer than one write deadline.
+		// commits. Either way p.send only appends the ack to the peer's
+		// out-queue: the collector never waits on a socket, the peer's
+		// writer coalesces a batch's acks into one flush, and a
+		// submitter that stops reading overflows its own queue and is
+		// dropped.
 		reqid := m.Height
 		if n.cfg.TxSubmit == nil {
 			// Not serving admission (the peer ignored our feature bits):

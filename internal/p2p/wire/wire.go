@@ -173,120 +173,142 @@ func Write(w *bufio.Writer, m *Message) error {
 // WriteCounted is Write returning the full frame size in bytes (kind
 // byte + length varint + body), so callers keeping per-kind traffic
 // counters can attribute exactly what each message cost on the wire.
+// It is WriteFrame followed by one Flush.
 func WriteCounted(w *bufio.Writer, m *Message) (int, error) {
-	var body []byte
+	n, err := WriteFrame(w, m)
+	if err != nil {
+		return 0, err
+	}
+	return n, w.Flush()
+}
+
+// maxHead bounds a frame's kind byte plus its body-length varint.
+const maxHead = 1 + binary.MaxVarintLen64
+
+// WriteFrame buffers m's frame in w without flushing it and returns the
+// full frame size in bytes, so a writer holding several messages can
+// put them all on the wire with one Flush. An oversized or unencodable
+// message is refused before any of its bytes reach w.
+//
+// Every field but a trailing payload is encoded straight into w's free
+// buffer space, behind room reserved for the head, so a frame that fits
+// in the buffer costs no allocation; the payload is copied from m.
+func WriteFrame(w *bufio.Writer, m *Message) (int, error) {
+	buf := append(w.AvailableBuffer(), make([]byte, maxHead)...)
+	buf, payload, err := appendFields(buf, m)
+	if err != nil {
+		return 0, err
+	}
+	size := len(buf) - maxHead + len(payload)
+	if size > MaxPayload {
+		return 0, fmt.Errorf("wire: frame of %d bytes exceeds limit", size)
+	}
+	var lenbuf [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(lenbuf[:], uint64(size))
+	start := maxHead - 1 - k
+	buf[start] = m.Kind
+	copy(buf[start+1:], lenbuf[:k])
+	// When buf is still w's own free space this Write moves the frame
+	// down over the unused head room, which copy handles.
+	if _, err := w.Write(buf[start:]); err != nil {
+		return 0, err
+	}
+	if _, err := w.Write(payload); err != nil {
+		return 0, err
+	}
+	return len(buf) - start + len(payload), nil
+}
+
+// appendFields appends m's body to b, except for a trailing payload,
+// which it returns for the caller to write after the head.
+func appendFields(b []byte, m *Message) ([]byte, []byte, error) {
 	switch m.Kind {
 	case Hello:
-		body = binary.AppendUvarint(body, m.Height)
+		b = binary.AppendUvarint(b, m.Height)
 		// The trailer is omitted when no features are advertised: legacy
 		// decoders require the body to be exactly one varint, so a
 		// featureless hello stays byte-compatible with pre-feature nodes.
 		// Advertising any feature requires an upgraded peer.
 		if m.Features != 0 {
-			body = append(body, m.Features)
+			b = append(b, m.Features)
 		}
 		// FeatureForkChoice adds the cumulative tip-work field and
 		// FeatureCompactRelay the fixed-width salt nonce, in that order;
 		// other features leave the hello at exactly varint + trailer.
 		if m.Features&FeatureForkChoice != 0 {
 			if len(m.TipWork) > MaxTipWork {
-				return 0, fmt.Errorf("wire: tip work of %d bytes exceeds limit", len(m.TipWork))
+				return nil, nil, fmt.Errorf("wire: tip work of %d bytes exceeds limit", len(m.TipWork))
 			}
-			body = binary.AppendUvarint(body, uint64(len(m.TipWork)))
-			body = append(body, m.TipWork...)
+			b = binary.AppendUvarint(b, uint64(len(m.TipWork)))
+			b = append(b, m.TipWork...)
 		}
 		if m.Features&FeatureCompactRelay != 0 {
-			body = binary.LittleEndian.AppendUint64(body, m.Nonce)
+			b = binary.LittleEndian.AppendUint64(b, m.Nonce)
 		}
+		return b, nil, nil
 	case Inv:
-		body = binary.AppendUvarint(body, m.Height)
-		body = append(body, m.Hash[:]...)
+		b = binary.AppendUvarint(b, m.Height)
+		return append(b, m.Hash[:]...), nil, nil
 	case GetBlocks:
-		body = binary.AppendUvarint(body, m.Height)
-		body = binary.AppendUvarint(body, m.Count)
-	case Block:
-		body = binary.AppendUvarint(body, m.Height)
-		body = append(body, m.Payload...)
+		b = binary.AppendUvarint(b, m.Height)
+		return binary.AppendUvarint(b, m.Count), nil, nil
+	case Block, Chunk, Tx, CmpctBlock:
+		// Height (for tx, the submitter's request id, echoed by the ack
+		// so verdicts can be matched to pipelined submissions) plus an
+		// opaque body: a compact block's encoding is internal/relay's
+		// concern, not the codec's.
+		return binary.AppendUvarint(b, m.Height), m.Payload, nil
 	case GetManifest:
 		// Empty body.
-	case Manifest:
-		body = m.Payload
+		return b, nil, nil
+	case Manifest, Headers, Subscribe:
+		// Opaque bodies. Headers is a run of fixed-width headers whose
+		// width is the block model's concern; subscribe is a filter
+		// encoding (see internal/light) whose size policy the serve side
+		// enforces on top of MaxPayload.
+		return b, m.Payload, nil
 	case GetChunk:
-		body = binary.AppendUvarint(body, m.Height)
-	case Chunk:
-		body = binary.AppendUvarint(body, m.Height)
-		body = append(body, m.Payload...)
+		return binary.AppendUvarint(b, m.Height), nil, nil
 	case GetHeaders, GetData:
 		limit := MaxLocator
 		if m.Kind == GetData {
 			limit = MaxBatch
 		}
 		if len(m.Hashes) == 0 || len(m.Hashes) > limit {
-			return 0, fmt.Errorf("wire: %d hashes out of range for kind %d", len(m.Hashes), m.Kind)
+			return nil, nil, fmt.Errorf("wire: %d hashes out of range for kind %d", len(m.Hashes), m.Kind)
 		}
-		body = binary.AppendUvarint(body, uint64(len(m.Hashes)))
+		b = binary.AppendUvarint(b, uint64(len(m.Hashes)))
 		for i := range m.Hashes {
-			body = append(body, m.Hashes[i][:]...)
+			b = append(b, m.Hashes[i][:]...)
 		}
-	case Headers:
-		// The payload is a run of fixed-width headers; the header width
-		// is the block model's concern, not the codec's.
-		body = m.Payload
-	case Tx:
-		// Height carries the submitter's request id, echoed by the ack
-		// so verdicts can be matched to pipelined submissions.
-		body = binary.AppendUvarint(body, m.Height)
-		body = append(body, m.Payload...)
+		return b, nil, nil
 	case TxAck:
-		body = binary.AppendUvarint(body, m.Height)
-		body = append(body, m.Code)
-		body = append(body, m.Hash[:]...)
-	case CmpctBlock:
-		// Like Block: height plus an opaque body (the compact encoding
-		// is internal/relay's concern, not the codec's).
-		body = binary.AppendUvarint(body, m.Height)
-		body = append(body, m.Payload...)
+		b = binary.AppendUvarint(b, m.Height)
+		b = append(b, m.Code)
+		return append(b, m.Hash[:]...), nil, nil
 	case GetBlockTxn, BlockTxn:
 		// The block hash names the announcement being filled; the body
 		// (index list or transaction run) is internal/relay's concern.
-		body = append(body, m.Hash[:]...)
-		body = append(body, m.Payload...)
-	case Subscribe:
-		// Opaque filter encoding (see internal/light); the serve side
-		// enforces its own size policy on top of MaxPayload.
-		body = m.Payload
+		return append(b, m.Hash[:]...), m.Payload, nil
 	case SubUpdate:
 		// Push notification: block height + hash + matched-tx count +
 		// flags byte (bit 0: notifications were dropped since the last
 		// delivery, the subscriber should poll).
-		body = binary.AppendUvarint(body, m.Height)
-		body = append(body, m.Hash[:]...)
-		body = binary.AppendUvarint(body, m.Count)
-		body = append(body, m.Code)
+		b = binary.AppendUvarint(b, m.Height)
+		b = append(b, m.Hash[:]...)
+		b = binary.AppendUvarint(b, m.Count)
+		return append(b, m.Code), nil, nil
 	case GetLightBlock:
-		body = append(body, m.Hash[:]...)
+		return append(b, m.Hash[:]...), nil, nil
 	case LightBlock:
 		// Height plus the full proof-carrying block bytes; an empty
 		// payload means "unavailable" (a real block always has at least
 		// a header), so the requester re-resolves instead of timing out.
-		body = append(body, m.Hash[:]...)
-		body = binary.AppendUvarint(body, m.Height)
-		body = append(body, m.Payload...)
+		b = append(b, m.Hash[:]...)
+		return binary.AppendUvarint(b, m.Height), m.Payload, nil
 	default:
-		return 0, fmt.Errorf("wire: cannot encode message kind %d", m.Kind)
+		return nil, nil, fmt.Errorf("wire: cannot encode message kind %d", m.Kind)
 	}
-	if len(body) > MaxPayload {
-		return 0, fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body))
-	}
-	head := []byte{m.Kind}
-	head = binary.AppendUvarint(head, uint64(len(body)))
-	if _, err := w.Write(head); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(body); err != nil {
-		return 0, err
-	}
-	return len(head) + len(body), w.Flush()
 }
 
 // Read reads and decodes one message. On an unrecognized kind it

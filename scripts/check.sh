@@ -26,11 +26,13 @@ echo "== go test -race =="
 # sharded status database's two-phase commit and shallow snapshots.
 go test -race ./...
 
-echo "== flake loop (concurrent soak, byte counters) =="
-# Both tests once failed only some of the time; -count=20 (which also
-# bypasses the test cache) makes a reintroduced flake fail here instead
-# of intermittently.
-go test -count=20 -run 'TestStatusDBConcurrentSoak|TestByteCounters' ./internal/statusdb ./internal/p2p
+echo "== flake loop (concurrent soak, byte counters, peer out-queues) =="
+# The soak and byte-counter tests once failed only some of the time;
+# the out-queue tests race announcements against handshakes and stall
+# peers mid-stream. -count=20 (which also bypasses the test cache)
+# makes a reintroduced flake fail here instead of intermittently.
+go test -count=20 -run 'TestStatusDBConcurrentSoak|TestByteCounters|TestHelloFirstWhileAnnouncing|TestNeverReadingSubmitter|TestPacedBlockServingStalls|TestStalledLightSubscriberGetsDropFlag' \
+	./internal/statusdb ./internal/p2p
 
 echo "== allocation gate (warm ingest path) =="
 # The zero-alloc tests carry a !race build tag (race instrumentation
@@ -39,6 +41,8 @@ echo "== allocation gate (warm ingest path) =="
 go test -run 'TestWarmCacheValidateInputZeroAllocs|TestWarmDecodeZeroAllocs|TestWarmConnectAllocBudget' \
 	./internal/core/
 go test -run 'TestScratchBuffersSteadyStateZeroAllocs' ./internal/ingest/
+# Peer writers encode frames in place in their bufio.Writer.
+go test -run 'TestWriteFrameZeroAllocs' ./internal/p2p/wire/
 # -benchmem regression gate: the warm decode+connect cycle must stay
 # amortized under one allocation per input (allocs/op < inputs/block).
 bench_out=$(go test -run '^$' -bench 'BenchmarkWarmDecodeConnect$' -benchmem -benchtime 50x ./internal/core/)
