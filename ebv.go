@@ -159,14 +159,11 @@ type (
 var (
 	NewBitcoinValidator = core.NewBitcoinValidator
 	NewEBVValidator     = core.NewEBVValidator
-	// WithParallelSV runs EBV Script Validation on N goroutines per
-	// block — the paper's future-work direction (§VI-D); also
-	// available on nodes via NodeConfig.ParallelSV.
-	WithParallelSV = core.WithParallelSV
 	// WithParallelValidation runs the full proof-verification pipeline
 	// (consistency, sighash, EV and SV) on N goroutines per block with
-	// deterministic failure reporting; supersedes WithParallelSV. Also
-	// available on nodes via NodeConfig.ParallelValidation.
+	// deterministic failure reporting — the paper's future-work
+	// direction (§VI-D). Also available on nodes via
+	// NodeConfig.ParallelValidation.
 	WithParallelValidation = core.WithParallelValidation
 )
 

@@ -322,7 +322,7 @@ func TestAblationOverheadRuns(t *testing.T) {
 	}
 	want := map[string]bool{
 		"uv-floor": false, "probe-only": false, "copy-decode": false,
-		"zero-copy": false, "zero-copy-unpooled": false, "per-vector-writes": false,
+		"zero-copy": false, "zero-copy-unpooled": false,
 	}
 	for _, r := range rows {
 		if _, ok := want[r.Arm]; !ok {

@@ -75,8 +75,6 @@ func checkProbes(res []statusdb.ProbeResult) error {
 //	zero-copy           borrowed-bytes decode + connect on one reused
 //	                    ingest scratch (the warm path)
 //	zero-copy-unpooled  a fresh scratch per block — what pooling saves
-//	per-vector-writes   the warm path with batched status writes
-//	                    disabled (one allocation + encode per vector)
 //
 // Results are also written as BENCH_overhead.json into
 // Options.ArtifactDir.
@@ -92,19 +90,8 @@ func (e *Env) AblationOverhead(w io.Writer) error {
 	}
 
 	type arm struct {
-		id    string
-		setup func(n *node.EBVNode)
-		step  func(n *node.EBVNode, st *overheadState, raw []byte) (time.Duration, error)
-	}
-
-	connectMeasured := func(n *node.EBVNode, st *overheadState, raw []byte) (time.Duration, error) {
-		t0 := time.Now()
-		blk, err := st.scr.DecodeEBVBlock(raw)
-		if err != nil {
-			return 0, err
-		}
-		_, err = n.Validator.ConnectBlockIn(blk, st.scr)
-		return time.Since(t0), err
+		id   string
+		step func(n *node.EBVNode, st *overheadState, raw []byte) (time.Duration, error)
 	}
 
 	arms := []arm{
@@ -147,7 +134,15 @@ func (e *Env) AblationOverhead(w io.Writer) error {
 			_, err = n.Validator.ConnectBlock(blk)
 			return time.Since(t0), err
 		}},
-		{id: "zero-copy", step: connectMeasured},
+		{id: "zero-copy", step: func(n *node.EBVNode, st *overheadState, raw []byte) (time.Duration, error) {
+			t0 := time.Now()
+			blk, err := st.scr.DecodeEBVBlock(raw)
+			if err != nil {
+				return 0, err
+			}
+			_, err = n.Validator.ConnectBlockIn(blk, st.scr)
+			return time.Since(t0), err
+		}},
 		{id: "zero-copy-unpooled", step: func(n *node.EBVNode, _ *overheadState, raw []byte) (time.Duration, error) {
 			t0 := time.Now()
 			scr := ingest.NewScratch()
@@ -158,9 +153,6 @@ func (e *Env) AblationOverhead(w io.Writer) error {
 			_, err = n.Validator.ConnectBlockIn(blk, scr)
 			return time.Since(t0), err
 		}},
-		{id: "per-vector-writes",
-			setup: func(n *node.EBVNode) { n.Status.SetBatchedCommit(false) },
-			step:  connectMeasured},
 	}
 
 	var rows []armResult
@@ -176,9 +168,6 @@ func (e *Env) AblationOverhead(w io.Writer) error {
 		n, err := node.NewEBVNode(cfg)
 		if err != nil {
 			return err
-		}
-		if a.setup != nil {
-			a.setup(n)
 		}
 		st := &overheadState{scr: ingest.NewScratch()}
 		var total time.Duration

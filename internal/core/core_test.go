@@ -552,76 +552,6 @@ func rebuildClassic(t *testing.T, blk *blockmodel.ClassicBlock) {
 	blk.Header = rebuilt.Header
 }
 
-// parallelFixture syncs a second, parallel-SV validator with its own
-// chain store over the fixture's blocks (all but the last).
-func parallelFixture(t *testing.T, f *fixture, workers int) (*EBVValidator, *statusdb.DB) {
-	t.Helper()
-	chain2, err := chainstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { chain2.Close() })
-	status2 := statusdb.New(true)
-	par := NewEBVValidator(status2, script.NewEngine(f.gen.Scheme()), chain2, WithParallelSV(workers))
-	for i := 0; i < len(f.ebv)-1; i++ {
-		if _, err := par.ConnectBlock(f.ebv[i]); err != nil {
-			t.Fatalf("parallel connect %d: %v", i, err)
-		}
-		if err := chain2.Append(f.ebv[i].Header, f.ebv[i].Encode(nil)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return par, status2
-}
-
-func TestParallelSVMatchesSequential(t *testing.T) {
-	f := newFixture(t, 150)
-	par, status2 := parallelFixture(t, f, 4)
-	bdSeq, err := f.ebvVal.ConnectBlock(f.lastEBV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bdPar, err := par.ConnectBlock(f.lastEBV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bdSeq.Inputs != bdPar.Inputs {
-		t.Fatalf("input counts differ: %d vs %d", bdSeq.Inputs, bdPar.Inputs)
-	}
-	if f.status.UnspentCount() != status2.UnspentCount() {
-		t.Fatalf("state divergence: %d vs %d", f.status.UnspentCount(), status2.UnspentCount())
-	}
-	if bdPar.SV == 0 {
-		t.Fatal("parallel SV time must be recorded")
-	}
-}
-
-func TestParallelSVRejectsBadSignature(t *testing.T) {
-	f := newFixture(t, 150)
-	par, _ := parallelFixture(t, f, 4)
-	blk := reencode(t, f.lastEBV)
-	mutated := false
-	for _, tx := range blk.Txs {
-		if len(tx.Bodies) > 0 && len(tx.Bodies[0].UnlockScript) > 10 {
-			tx.Bodies[0].UnlockScript[5] ^= 1
-			tx.SealInputHashes()
-			mutated = true
-			break
-		}
-	}
-	if !mutated {
-		t.Skip("no spends in last block")
-	}
-	rebuild(t, blk)
-	if _, err := par.ConnectBlock(blk); !errors.Is(err, ErrScriptFailed) {
-		t.Fatalf("parallel SV must reject bad signature, got %v", err)
-	}
-	// State untouched; honest block still connects.
-	if _, err := par.ConnectBlock(f.lastEBV); err != nil {
-		t.Fatalf("honest block after parallel failure: %v", err)
-	}
-}
-
 func TestEBVDisconnectChecksTip(t *testing.T) {
 	f := newFixture(t, 150)
 	// Not the tip block.

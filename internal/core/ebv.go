@@ -23,8 +23,7 @@ type EBVValidator struct {
 	status         *statusdb.DB
 	engine         *script.Engine
 	headers        HeaderSource
-	parallel       int
-	pipeline       int
+	workers        int
 	vcache         *vcache.Cache
 	blockOutputsFn BlockOutputsFunc
 }
@@ -32,31 +31,17 @@ type EBVValidator struct {
 // EBVOption configures an EBVValidator.
 type EBVOption func(*EBVValidator)
 
-// WithParallelSV runs Script Validation for a block's inputs on up to
-// workers goroutines. The paper closes by noting that SV dominates
-// EBV's remaining validation time and names its optimization as future
-// work (§VI-D); unlike the baseline — whose hot path serializes on the
-// status database — EBV's SV inputs are mutually independent, so they
-// parallelize trivially. workers <= 1 keeps the sequential path.
-//
-// Superseded by WithParallelValidation, which also parallelizes the
-// per-input Existence Validation; WithParallelSV remains for the
-// script-only ablation.
-func WithParallelSV(workers int) EBVOption {
-	return func(v *EBVValidator) { v.parallel = workers }
-}
-
 // WithParallelValidation runs the full proof-verification pipeline on
 // up to workers goroutines: every transaction's consistency binding,
 // sighash, and per-input EV (leaf hash + Merkle fold against the
 // stored header) and SV run concurrently, while UV, duplicate-spend
 // detection, maturity, and value conservation run in a sequential
 // reduce over the worker verdicts. Acceptance, rejection, and the
-// reported error are bit-for-bit identical to the sequential path
-// regardless of scheduling (see connectBlockParallel). workers <= 1
-// keeps the sequential path.
+// reported error do not depend on the worker count or on scheduling
+// (see ConnectBlockIn). workers <= 1 runs the same two stages inline
+// on the calling goroutine.
 func WithParallelValidation(workers int) EBVOption {
-	return func(v *EBVValidator) { v.pipeline = workers }
+	return func(v *EBVValidator) { v.workers = workers }
 }
 
 // WithVerificationCache installs a verified-proof cache: inputs whose
@@ -143,7 +128,8 @@ func (v *EBVValidator) cacheProbe(key vcache.Key, body *txmodel.InputBody, bd *B
 // ValidateInput checks one input body against the chain state: EV via
 // the Merkle branch, UV via the bit vector, SV via the script engine.
 // It is the unit the paper's transaction validation (§IV-D1) builds
-// on; ConnectBlock calls it for every input with shared bookkeeping.
+// on; ValidateTx calls it for every input. (Block connect runs the
+// same EV and SV through verifyTx and UV through one batched probe.)
 // With a verification cache installed, a hit skips the EV fold and the
 // script execution (UV stays live), and a fully successful uncached
 // check inserts its key — this is the mempool-admission path that
@@ -195,8 +181,8 @@ func (v *EBVValidator) validateInputEVUV(body *txmodel.InputBody, bd *Breakdown)
 // evInput performs Existence Validation for one input: fold the branch
 // from the ELs leaf, compare against the stored header of the named
 // height, and extract the spent output. It reads only immutable chain
-// state, so the parallel pipeline calls it from worker goroutines;
-// both paths share it so they report identical errors.
+// state, so verifyTx calls it from worker goroutines; ValidateInput
+// shares it so both report identical errors.
 func (v *EBVValidator) evInput(body *txmodel.InputBody) (*txmodel.TxOut, error) {
 	hdr, ok := v.headers.Header(body.Height)
 	if !ok {
@@ -258,7 +244,7 @@ func scratchSeen(s *ingest.Scratch, n int) map[statusdb.Spend]struct{} {
 // collectSpends flattens the block's spends in validation scan order:
 // every non-coinbase transaction's bodies, in block order. The
 // coinbase is skipped — its bodies (it should have none) are never
-// examined by the scan either.
+// examined by the reduce either.
 func collectSpends(b *blockmodel.EBVBlock, s *ingest.Scratch) []statusdb.Spend {
 	spends := scratchSpends(s, b.TotalInputs())
 	for ti, tx := range b.Txs {
@@ -301,34 +287,6 @@ func (p *uvProbes) check(i int) error {
 	return nil
 }
 
-// svTask is one deferred script validation.
-type svTask struct {
-	unlock, lock []byte
-	sigHash      hashx.Hash
-	tx, input    int
-}
-
-// runParallelSV executes the deferred script validations on
-// v.parallel workers. Failure selection is deterministic: runWorkers
-// guarantees every task at or below the lowest failing index ran, so
-// the scan below always reports the same (lowest-index) error for the
-// same task list, regardless of goroutine scheduling.
-func (v *EBVValidator) runParallelSV(tasks []svTask) error {
-	errs := make([]error, len(tasks))
-	runWorkers(v.parallel, len(tasks), func(i int) bool {
-		t := &tasks[i]
-		errs[i] = v.engine.Execute(t.unlock, t.lock, t.sigHash)
-		return errs[i] == nil
-	})
-	for i, err := range errs {
-		if err != nil {
-			t := &tasks[i]
-			return fmt.Errorf("tx %d input %d: %w: %v", t.tx, t.input, ErrScriptFailed, err)
-		}
-	}
-	return nil
-}
-
 // ConnectBlock fully validates b as the next block and applies its
 // effect to the bit-vector set. On failure the set is untouched.
 func (v *EBVValidator) ConnectBlock(b *blockmodel.EBVBlock) (*Breakdown, error) {
@@ -341,165 +299,24 @@ func (v *EBVValidator) ConnectBlock(b *blockmodel.EBVBlock) (*Breakdown, error) 
 // what makes a warm (cache-hitting) connect run allocation-free. The
 // scratch must not serve another in-flight block concurrently; b may
 // be a block previously decoded with the same scratch.
+//
+// It is stage A and stage B back to back on the caller's state:
+// Preverify on v.workers goroutines (inline on this one at workers <=
+// 1), then the ordered reduce and the commit. The per-block verdict
+// storage returns to a pool afterwards; the returned Breakdown is a
+// copy that does not alias it. Under concurrency the Breakdown stays
+// honest: the fan-out phase is charged at its wall-clock duration,
+// apportioned across EV, SV and Other in proportion to the summed
+// worker time each phase consumed (chargePool), so Total() still
+// approximates real elapsed time instead of summed worker time.
 func (v *EBVValidator) ConnectBlockIn(b *blockmodel.EBVBlock, s *ingest.Scratch) (*Breakdown, error) {
-	if v.pipeline > 1 {
-		return v.connectBlockParallel(b, s)
+	pv, err := v.Preverify(b, nil, v.workers)
+	if err == nil {
+		err = v.reduceAndConnect(b, pv, s)
 	}
-	bd := &Breakdown{Txs: len(b.Txs), Inputs: b.TotalInputs(), Outputs: b.TotalOutputs()}
-	w := newStopwatch()
-
-	if err := v.checkStructure(b); err != nil {
-		w.lap(&bd.Other)
-		return bd, err
-	}
-	w.lap(&bd.Other)
-
-	// UV runs as one batched probe — shard-grouped status-database
-	// reads for the whole block — whose per-input verdicts the scan
-	// below consumes in order, so error selection is unchanged.
-	uv := v.probeUV(collectSpends(b, s), bd, s)
-	idx := 0
-	seen := scratchSeen(s, bd.Inputs)
-	var totalFees uint64
-	var deferred []svTask // parallel-SV mode: scripts checked after the scan
-	w = newStopwatch()
-
-	for ti, tx := range b.Txs {
-		if ti == 0 {
-			w.lap(&bd.Other)
-			continue // coinbase checked in structure + subsidy rule
-		}
-		if tx.Tidy.IsCoinbase() {
-			w.lap(&bd.Other)
-			return bd, fmt.Errorf("%w: tx %d", ErrExtraCoinbase, ti)
-		}
-		// Bind the transported bodies to the Merkle-committed tidy tx.
-		if err := tx.Consistent(); err != nil {
-			w.lap(&bd.Other)
-			return bd, fmt.Errorf("%w: tx %d: %v", ErrBadProof, ti, err)
-		}
-		sigHash := tx.SigHash()
-		w.lap(&bd.Other)
-
-		var inSum uint64
-		for bi := range tx.Bodies {
-			body := &tx.Bodies[bi]
-			sp := uv.spends[idx]
-			if _, dup := seen[sp]; dup {
-				w.lap(&bd.UV)
-				return bd, fmt.Errorf("%w: height %d position %d", ErrDuplicateSpend, sp.Height, sp.Pos)
-			}
-			seen[sp] = struct{}{}
-			w.lap(&bd.UV)
-
-			// Verified-proof cache: a hit skips the EV fold and the
-			// script execution below; the UV verdict and everything
-			// after it still apply — they read mutable chain state.
-			key, keyOK := v.cacheKey(body, sigHash)
-			var out *txmodel.TxOut
-			hit := false
-			if keyOK {
-				out, hit = v.cacheProbe(key, body, bd)
-			}
-			if hit {
-				if err := uv.check(idx); err != nil {
-					return bd, fmt.Errorf("tx %d input %d: %w", ti, bi, err)
-				}
-			} else {
-				ew := newStopwatch()
-				var err error
-				out, err = v.evInput(body)
-				ew.lap(&bd.EV)
-				if err != nil {
-					return bd, fmt.Errorf("tx %d input %d: %w", ti, bi, err)
-				}
-				if err := uv.check(idx); err != nil {
-					return bd, fmt.Errorf("tx %d input %d: %w", ti, bi, err)
-				}
-				if v.parallel > 1 {
-					deferred = append(deferred, svTask{
-						unlock: body.UnlockScript, lock: out.LockScript,
-						sigHash: sigHash, tx: ti, input: bi,
-					})
-				} else {
-					sw := newStopwatch()
-					if err := v.engine.Execute(body.UnlockScript, out.LockScript, sigHash); err != nil {
-						sw.lap(&bd.SV)
-						return bd, fmt.Errorf("tx %d input %d: %w: %v", ti, bi, ErrScriptFailed, err)
-					}
-					sw.lap(&bd.SV)
-				}
-			}
-			// The EV/UV/SV work above was timed by its own stopwatches;
-			// restart the outer clock so Other does not count it again.
-			w = newStopwatch()
-
-			// Maturity: the ELs reveals whether the spent output came
-			// from a coinbase (a tidy tx with no inputs).
-			if body.PrevTx.IsCoinbase() && b.Header.Height-body.Height < txmodel.CoinbaseMaturity {
-				w.lap(&bd.Other)
-				return bd, fmt.Errorf("%w: tx %d input %d", ErrImmature, ti, bi)
-			}
-			if inSum+out.Value < inSum {
-				w.lap(&bd.Other)
-				return bd, fmt.Errorf("%w: tx %d", ErrOverflow, ti)
-			}
-			inSum += out.Value
-			idx++
-			w.lap(&bd.Other)
-		}
-
-		outSum, ok := tx.OutputSum()
-		if !ok {
-			w.lap(&bd.Other)
-			return bd, fmt.Errorf("%w: tx %d", ErrOverflow, ti)
-		}
-		if outSum > inSum {
-			w.lap(&bd.Other)
-			return bd, fmt.Errorf("%w: tx %d spends %d, creates %d", ErrValueImbalance, ti, inSum, outSum)
-		}
-		fee := inSum - outSum
-		if totalFees+fee < totalFees {
-			w.lap(&bd.Other)
-			return bd, fmt.Errorf("%w: fees", ErrOverflow)
-		}
-		totalFees += fee
-		w.lap(&bd.Other)
-	}
-
-	cbSum, ok := b.Txs[0].OutputSum()
-	if !ok {
-		w.lap(&bd.Other)
-		return bd, fmt.Errorf("%w: coinbase", ErrOverflow)
-	}
-	if cbSum > blockmodel.Subsidy(b.Header.Height)+totalFees {
-		w.lap(&bd.Other)
-		return bd, fmt.Errorf("%w: claims %d, allowed %d", ErrBadSubsidy, cbSum, blockmodel.Subsidy(b.Header.Height)+totalFees)
-	}
-	w.lap(&bd.Other)
-
-	// Parallel-SV mode: run the deferred script checks now, charging
-	// the wall-clock time of the parallel phase to SV.
-	if len(deferred) > 0 {
-		sw := newStopwatch()
-		err := v.runParallelSV(deferred)
-		sw.lap(&bd.SV)
-		if err != nil {
-			return bd, err
-		}
-		w = newStopwatch()
-	}
-
-	// Status update: insert the block's all-ones vector, clear the
-	// spent bits (paper §IV-E1). Counted under Other — it is block
-	// storage work, not input checking. Every input passed, so the
-	// collected spends are exactly the spends to apply.
-	if err := v.status.Connect(b.Header.Height, bd.Outputs, uv.spends); err != nil {
-		w.lap(&bd.Other)
-		return bd, fmt.Errorf("%w: %v", ErrInvalidBlock, err)
-	}
-	w.lap(&bd.Other)
-	return bd, nil
+	bd := pv.bd
+	pv.release()
+	return &bd, err
 }
 
 // checkLink verifies b extends the header source's tip. It is part of

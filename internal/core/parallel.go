@@ -11,9 +11,9 @@ import (
 	"ebv/internal/txmodel"
 )
 
-// This file implements the parallel proof-verification pipeline
-// (WithParallelValidation). EBV's proof-carrying inputs make every
-// transaction's expensive work — consistency binding, sighash, per-
+// This file implements block connect's two stages (ConnectBlockIn,
+// sized by WithParallelValidation). EBV's proof-carrying inputs make
+// every transaction's expensive work — consistency binding, sighash, per-
 // input Merkle folds (EV), and script execution (SV) — independent of
 // every other transaction: it reads only the immutable header chain
 // and the proof bytes the block itself carries. A worker pool runs
@@ -21,9 +21,10 @@ import (
 // verdict. The checks that need cross-input or chain state — UV
 // probes, duplicate-spend detection, maturity, value conservation,
 // the subsidy rule, and the bit-vector commit — run afterwards in a
-// cheap sequential reduce over the verdicts, replicating the
-// sequential path's scan order exactly so that acceptance, rejection,
-// and the reported error are bit-for-bit identical.
+// cheap sequential reduce over the verdicts, in the scan order of a
+// one-loop validator (EV, UV, SV, maturity, value per input), so
+// acceptance, rejection, and the reported error do not depend on the
+// worker count.
 //
 // Determinism: runWorkers guarantees that every task index at or
 // below the lowest failing index ran to completion, so the reduce —
@@ -40,7 +41,7 @@ import (
 // index <= F has a complete result when runWorkers returns — the
 // property the callers' deterministic minimum-index error selection
 // rests on. workers <= 1 degenerates to a sequential loop with early
-// exit, sharing the code path so both modes behave identically.
+// exit, so both modes leave the same verdicts behind.
 func runWorkers(workers, n int, fn func(i int) bool) {
 	// Single-task or single-worker calls run inline on the calling
 	// goroutine: no goroutines, no WaitGroup, no atomics — a
@@ -97,8 +98,12 @@ type inputVerdict struct {
 	sv    time.Duration
 }
 
-// txVerdict is one transaction's worker-side result.
+// txVerdict is one transaction's worker-side result. ran is false
+// for a transaction the pool never reached (cancelled past an earlier
+// failure); a Preverified's storage is zeroed per block, so a stale
+// verdict from a recycled block can never read as run.
 type txVerdict struct {
+	ran      bool
 	coinbase bool // non-first coinbase: structural failure
 	consErr  error
 	inputs   []inputVerdict
@@ -124,26 +129,26 @@ func (tv *txVerdict) ok() bool {
 }
 
 // verifyTx performs the worker-side share of one transaction's
-// validation: consistency binding, sighash, and per-input EV + SV. It
-// touches only immutable chain state (headers) and the transaction's
-// own proof bytes, so any number of verifyTx calls may run
-// concurrently.
-func (v *EBVValidator) verifyTx(tx *txmodel.EBVTx) *txVerdict {
-	tv := &txVerdict{}
+// validation into tv, whose inputs slice already has one zeroed entry
+// per body: consistency binding, sighash, and per-input EV + SV. It
+// touches only immutable chain state (headers), the transaction's own
+// proof bytes and tv, so any number of verifyTx calls on distinct
+// verdicts may run concurrently.
+func (v *EBVValidator) verifyTx(tx *txmodel.EBVTx, tv *txVerdict) {
+	tv.ran = true
 	w := newStopwatch()
 	if tx.Tidy.IsCoinbase() {
 		tv.coinbase = true
 		w.lap(&tv.other)
-		return tv
+		return
 	}
 	if err := tx.Consistent(); err != nil {
 		tv.consErr = err
 		w.lap(&tv.other)
-		return tv
+		return
 	}
 	sigHash := tx.SigHash()
 	w.lap(&tv.other)
-	tv.inputs = make([]inputVerdict, len(tx.Bodies))
 	for bi := range tx.Bodies {
 		iv := &tv.inputs[bi]
 		body := &tx.Bodies[bi]
@@ -179,41 +184,83 @@ func (v *EBVValidator) verifyTx(tx *txmodel.EBVTx) *txVerdict {
 		iv.svErr = v.engine.Execute(body.UnlockScript, out.LockScript, sigHash)
 		sw.lap(&iv.sv)
 	}
-	return tv
 }
 
 // Preverified carries stage A's output for one block: the structure
 // verdict's bookkeeping plus one proof-verification verdict per
 // transaction, ready for the sequential reduce (ConnectPreverified).
 // A Preverified is consumed exactly once; its Breakdown accumulates
-// across both stages.
+// across both stages. The verdicts' input entries share one slab, and
+// ConnectBlockIn recycles the whole value through preverifiedPool.
 type Preverified struct {
-	verdicts []*txVerdict
+	verdicts []txVerdict    // one per transaction; [0], the coinbase, never runs
+	inputs   []inputVerdict // backing slab of every verdict's inputs
 	bd       Breakdown
+}
+
+// preverifiedPool recycles ConnectBlockIn's verdict storage, so a warm
+// connect allocates no per-transaction or per-input verdicts.
+var preverifiedPool = sync.Pool{New: func() any { return new(Preverified) }}
+
+// reset sizes pv's storage for b and zeroes it — every ran flag false,
+// every input verdict empty — then carves each transaction's inputs
+// out of the slab.
+func (pv *Preverified) reset(b *blockmodel.EBVBlock) {
+	pv.bd = Breakdown{Txs: len(b.Txs), Inputs: b.TotalInputs(), Outputs: b.TotalOutputs()}
+	pv.verdicts = zeroed(pv.verdicts, len(b.Txs))
+	pv.inputs = zeroed(pv.inputs, pv.bd.Inputs)
+	off := 0
+	for ti, tx := range b.Txs {
+		end := off + len(tx.Bodies)
+		pv.verdicts[ti].inputs = pv.inputs[off:end:end]
+		off = end
+	}
+}
+
+// release drops pv's references into its block (spent outputs,
+// errors) and returns it to the pool.
+func (pv *Preverified) release() {
+	clear(pv.verdicts)
+	clear(pv.inputs)
+	preverifiedPool.Put(pv)
+}
+
+// zeroed returns s resized to n zero elements, reusing its backing
+// array when large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Breakdown exposes the work recorded so far — pipeline drivers report
 // it for blocks whose stage A failed and that never reach stage B.
 func (p *Preverified) Breakdown() *Breakdown { return &p.bd }
 
-// Preverify runs stage A of the cross-block pipeline for one block:
-// the structure check and the proof-verification fan-out —
-// consistency binding, sighash, per-input EV Merkle folds and SV
-// script execution, all verified-proof-cache aware — on up to workers
-// goroutines. hs, when non-nil, replaces the validator's own header
-// view; a pipeline passes an overlay that already includes the
-// headers of preverified-but-uncommitted predecessors, which is what
-// lets block N+K verify before block N commits. Nothing here reads or
-// writes the status database, so any number of Preverify calls may
-// run while earlier blocks connect. The live-state checks — UV,
-// duplicate spends, maturity, value conservation, the commit — happen
-// in ConnectPreverified, in height order.
+// Preverify runs stage A for one block: the structure check and the
+// proof-verification fan-out — consistency binding, sighash, per-input
+// EV Merkle folds and SV script execution, all verified-proof-cache
+// aware — on up to workers goroutines. hs, when non-nil, replaces the
+// validator's own header view; a pipeline passes an overlay that
+// already includes the headers of preverified-but-uncommitted
+// predecessors, which is what lets block N+K verify before block N
+// commits. Nothing here reads or writes the status database, so any
+// number of Preverify calls may run while earlier blocks connect. The
+// live-state checks — UV, duplicate spends, maturity, value
+// conservation, the commit — happen in ConnectPreverified, in height
+// order.
 func (v *EBVValidator) Preverify(b *blockmodel.EBVBlock, hs HeaderSource, workers int) (*Preverified, error) {
-	sv := *v // shallow copy: swap only the header view
+	sv := v
 	if hs != nil {
-		sv.headers = hs
+		c := *v // shallow copy: swap only the header view
+		c.headers = hs
+		sv = &c
 	}
-	pv := &Preverified{bd: Breakdown{Txs: len(b.Txs), Inputs: b.TotalInputs(), Outputs: b.TotalOutputs()}}
+	pv := preverifiedPool.Get().(*Preverified)
+	pv.reset(b)
 	bd := &pv.bd
 	w := newStopwatch()
 	if err := sv.checkStructure(b); err != nil {
@@ -222,19 +269,18 @@ func (v *EBVValidator) Preverify(b *blockmodel.EBVBlock, hs HeaderSource, worker
 	}
 	w.lap(&bd.Other)
 
-	// Fan out: one task per non-coinbase transaction. verdicts[0]
-	// stays nil — the coinbase is covered by structure + subsidy.
-	pv.verdicts = make([]*txVerdict, len(b.Txs))
+	// Fan out: one task per non-coinbase transaction. The coinbase is
+	// covered by structure + subsidy.
 	if len(b.Txs) > 1 {
 		var poolWall time.Duration
 		pw := newStopwatch()
 		runWorkers(workers, len(b.Txs)-1, func(i int) bool {
-			tv := sv.verifyTx(b.Txs[i+1])
-			pv.verdicts[i+1] = tv
+			tv := &pv.verdicts[i+1]
+			sv.verifyTx(b.Txs[i+1], tv)
 			return tv.ok()
 		})
 		pw.lap(&poolWall)
-		sv.chargePool(bd, pv.verdicts, poolWall)
+		chargePool(bd, pv.verdicts, poolWall)
 	}
 	return pv, nil
 }
@@ -245,16 +291,11 @@ func (v *EBVValidator) Preverify(b *blockmodel.EBVBlock, hs HeaderSource, worker
 // that never connected), then performs the sequential reduce and the
 // status-database commit. Acceptance, rejection, and the reported
 // error are bit-for-bit identical to ConnectBlock on the same state.
-// The returned Breakdown aggregates both stages.
-func (v *EBVValidator) ConnectPreverified(b *blockmodel.EBVBlock, pv *Preverified) (*Breakdown, error) {
-	return v.ConnectPreverifiedIn(b, pv, nil)
-}
-
-// ConnectPreverifiedIn is ConnectPreverified with an optional ingest
-// scratch for the reduce's spend/probe/dedup buffers (see
-// ConnectBlockIn). Pipeline drivers pass the scratch the block was
+// The returned Breakdown aggregates both stages. s is an optional
+// ingest scratch for the reduce's spend/probe/dedup buffers (see
+// ConnectBlockIn); pipeline drivers pass the scratch the block was
 // decoded with.
-func (v *EBVValidator) ConnectPreverifiedIn(b *blockmodel.EBVBlock, pv *Preverified, s *ingest.Scratch) (*Breakdown, error) {
+func (v *EBVValidator) ConnectPreverified(b *blockmodel.EBVBlock, pv *Preverified, s *ingest.Scratch) (*Breakdown, error) {
 	bd := &pv.bd
 	w := newStopwatch()
 	if err := v.checkLink(b); err != nil {
@@ -262,34 +303,20 @@ func (v *EBVValidator) ConnectPreverifiedIn(b *blockmodel.EBVBlock, pv *Preverif
 		return bd, err
 	}
 	w.lap(&bd.Other)
-	return bd, v.reduceAndConnect(b, pv.verdicts, bd, s)
+	return bd, v.reduceAndConnect(b, pv, s)
 }
 
-// connectBlockParallel is ConnectBlock for pipeline mode: stage A and
-// stage B back to back on the caller's state. The Breakdown stays
-// honest under concurrency: the fan-out phase is charged at its
-// wall-clock duration, apportioned across EV, SV and Other in
-// proportion to the summed worker time each phase consumed — so
-// Total() still approximates real elapsed time instead of summed
-// worker time.
-func (v *EBVValidator) connectBlockParallel(b *blockmodel.EBVBlock, s *ingest.Scratch) (*Breakdown, error) {
-	pv, err := v.Preverify(b, nil, v.pipeline)
-	bd := &pv.bd
-	if err != nil {
-		return bd, err
-	}
-	return bd, v.reduceAndConnect(b, pv.verdicts, bd, s)
-}
-
-// reduceAndConnect is the shared stage B body: the sequential reduce
-// over worker verdicts, replicating the sequential path's exact check
-// order — batched UV probes consumed in scan order, duplicate-spend
+// reduceAndConnect is the stage B body: the sequential reduce over
+// worker verdicts in a one-loop validator's exact check order —
+// batched UV probes consumed in scan order, duplicate-spend
 // detection, maturity, value conservation, subsidy — so the first
-// failure and its message are identical, followed by the bit-vector
-// commit. Worker-failed transactions cancel the pool past their
-// index, so a nil verdict can only sit beyond the index the scan
-// stops at; the guard below is belt and braces.
-func (v *EBVValidator) reduceAndConnect(b *blockmodel.EBVBlock, verdicts []*txVerdict, bd *Breakdown, s *ingest.Scratch) error {
+// failure and its message do not depend on the worker count,
+// followed by the bit-vector commit. Worker-failed transactions
+// cancel the pool past their index, so an unrun verdict can only sit
+// beyond the index the scan stops at; the guard below is belt and
+// braces.
+func (v *EBVValidator) reduceAndConnect(b *blockmodel.EBVBlock, pv *Preverified, s *ingest.Scratch) error {
+	bd := &pv.bd
 	uv := v.probeUV(collectSpends(b, s), bd, s)
 	idx := 0
 	seen := scratchSeen(s, bd.Inputs)
@@ -300,8 +327,8 @@ func (v *EBVValidator) reduceAndConnect(b *blockmodel.EBVBlock, verdicts []*txVe
 		if ti == 0 {
 			continue
 		}
-		tv := verdicts[ti]
-		if tv == nil {
+		tv := &pv.verdicts[ti]
+		if !tv.ran {
 			w.lap(&bd.Other)
 			return fmt.Errorf("%w: tx %d skipped by cancelled pool", ErrInvalidBlock, ti)
 		}
@@ -327,8 +354,7 @@ func (v *EBVValidator) reduceAndConnect(b *blockmodel.EBVBlock, verdicts []*txVe
 			w.lap(&bd.UV)
 
 			// EV ran on the workers; the UV verdict applies here, in
-			// the same EV-then-UV-then-SV order the sequential path
-			// checks.
+			// EV-then-UV-then-SV order.
 			if iv.evErr != nil {
 				w = newStopwatch()
 				return fmt.Errorf("tx %d input %d: %w", ti, bi, iv.evErr)
@@ -399,13 +425,12 @@ func (v *EBVValidator) reduceAndConnect(b *blockmodel.EBVBlock, verdicts []*txVe
 // across the Breakdown's EV, SV and Other counters in proportion to
 // the summed per-worker time each phase consumed. Summed worker time
 // overstates elapsed time by up to the worker count; wall clock is
-// what the paper's figures plot.
-func (v *EBVValidator) chargePool(bd *Breakdown, verdicts []*txVerdict, wall time.Duration) {
+// what the paper's figures plot. Unrun verdicts are zero and add
+// nothing.
+func chargePool(bd *Breakdown, verdicts []txVerdict, wall time.Duration) {
 	var sEV, sSV, sOther time.Duration
-	for _, tv := range verdicts {
-		if tv == nil {
-			continue
-		}
+	for i := range verdicts {
+		tv := &verdicts[i]
 		sOther += tv.other
 		bd.CacheHits += tv.cacheHits
 		bd.CacheMisses += tv.cacheMisses

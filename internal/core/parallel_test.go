@@ -14,9 +14,9 @@ import (
 	"ebv/internal/txmodel"
 )
 
-// pipelineFixture syncs a fresh validator running the full parallel
-// proof-verification pipeline (or, at workers<=1, the sequential path)
-// over the fixture's blocks, all but the last.
+// pipelineFixture syncs a fresh validator connecting with the given
+// worker count (at workers<=1, both stages inline on the calling
+// goroutine) over the fixture's blocks, all but the last.
 func pipelineFixture(t *testing.T, f *fixture, workers int) (*EBVValidator, *statusdb.DB) {
 	t.Helper()
 	chain2, err := chainstore.Open(t.TempDir())
@@ -216,15 +216,16 @@ func craftImmatureCoinbaseSpend(t *testing.T, f *fixture) *blockmodel.EBVBlock {
 	return blk
 }
 
-// TestPipelineEquivalence proves the tentpole property: for the valid
-// chain and every adversarial case, the parallel pipeline and the
-// sequential validator accept/reject identically and report the
-// identical error, at every worker count.
+// TestPipelineEquivalence proves the single connect route against the
+// reference model: for the valid chain and every adversarial case,
+// ConnectBlock at every worker count accepts/rejects exactly as the
+// reference does and reports the identical error, and the honest block
+// lands on the reference's byte-identical state.
 func TestPipelineEquivalence(t *testing.T) {
 	f := newFixture(t, 150)
-	for _, workers := range []int{2, 4, 8} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			seq, seqStatus := pipelineFixture(t, f, 1)
+			ref := refFixture(t, f)
 			par, parStatus := pipelineFixture(t, f, workers)
 
 			for _, c := range adversarialCases() {
@@ -233,34 +234,32 @@ func TestPipelineEquivalence(t *testing.T) {
 					t.Logf("case %s: no usable spends, skipped", c.name)
 					continue
 				}
-				_, errSeq := seq.ConnectBlock(blk)
+				errRef := ref.connect(blk)
 				_, errPar := par.ConnectBlock(blk)
-				if errSeq == nil || errPar == nil {
-					t.Fatalf("case %s: sequential err=%v, parallel err=%v (both must reject)", c.name, errSeq, errPar)
+				if errRef == nil {
+					t.Fatalf("case %s: reference accepted the block", c.name)
 				}
-				if errSeq.Error() != errPar.Error() {
-					t.Fatalf("case %s: error divergence:\n  sequential: %v\n  parallel:   %v", c.name, errSeq, errPar)
-				}
+				sameVerdict(t, "case "+c.name, errRef, errPar)
 				if !errors.Is(errPar, ErrInvalidBlock) {
-					t.Fatalf("case %s: parallel error must wrap ErrInvalidBlock: %v", c.name, errPar)
+					t.Fatalf("case %s: error must wrap ErrInvalidBlock: %v", c.name, errPar)
 				}
 			}
 
 			// Failed connects left both untouched: the honest block
 			// still connects on both, to identical state.
-			bdSeq, err := seq.ConnectBlock(f.lastEBV)
-			if err != nil {
-				t.Fatalf("sequential honest block: %v", err)
+			if err := ref.connect(f.lastEBV); err != nil {
+				t.Fatalf("reference honest block: %v", err)
 			}
 			bdPar, err := par.ConnectBlock(f.lastEBV)
 			if err != nil {
-				t.Fatalf("parallel honest block: %v", err)
+				t.Fatalf("honest block: %v", err)
 			}
-			if bdSeq.Inputs != bdPar.Inputs || bdSeq.Outputs != bdPar.Outputs || bdSeq.Txs != bdPar.Txs {
-				t.Fatalf("breakdown shape mismatch: %+v vs %+v", bdSeq, bdPar)
+			if bdPar.Inputs != f.lastEBV.TotalInputs() || bdPar.Outputs != f.lastEBV.TotalOutputs() || bdPar.Txs != len(f.lastEBV.Txs) {
+				t.Fatalf("breakdown shape: %+v", bdPar)
 			}
-			if seqStatus.UnspentCount() != parStatus.UnspentCount() {
-				t.Fatalf("state divergence: %d vs %d unspent", seqStatus.UnspentCount(), parStatus.UnspentCount())
+			sameState(t, "honest block", ref.status, parStatus)
+			if bdPar.CacheHits != 0 || bdPar.CacheMisses != 0 {
+				t.Fatalf("uncached validator must report no cache traffic: %+v", bdPar)
 			}
 			if bdPar.Inputs > 0 && (bdPar.EV <= 0 || bdPar.SV <= 0) {
 				t.Fatalf("pipeline breakdown must attribute EV and SV wall time: %+v", bdPar)
@@ -272,7 +271,7 @@ func TestPipelineEquivalence(t *testing.T) {
 // TestPipelineFailureDeterministic runs a block with failures in
 // several transactions through the pipeline repeatedly: the reported
 // error must be identical on every run (and identical to the
-// sequential verdict) regardless of goroutine scheduling. Run under
+// reference's verdict) regardless of goroutine scheduling. Run under
 // -race this also exercises the pool for data races.
 func TestPipelineFailureDeterministic(t *testing.T) {
 	f := newFixture(t, 150)
@@ -290,9 +289,9 @@ func TestPipelineFailureDeterministic(t *testing.T) {
 	}
 	rebuild(t, blk)
 
-	_, seqErr := f.ebvVal.ConnectBlock(blk)
-	if seqErr == nil {
-		t.Fatal("sequential validator accepted the corrupt block")
+	refErr := refFixture(t, f).connect(blk)
+	if refErr == nil {
+		t.Fatal("reference accepted the corrupt block")
 	}
 	par, _ := pipelineFixture(t, f, 8)
 	for run := 0; run < 25; run++ {
@@ -300,45 +299,7 @@ func TestPipelineFailureDeterministic(t *testing.T) {
 		if err == nil {
 			t.Fatalf("run %d: corrupt block accepted", run)
 		}
-		if err.Error() != seqErr.Error() {
-			t.Fatalf("run %d: nondeterministic error:\n  want: %v\n  got:  %v", run, seqErr, err)
-		}
-	}
-}
-
-// TestParallelSVFailureDeterministic is the regression for the seed's
-// nondeterministic runParallelSV: with failures in several script
-// tasks, the reported error must be the lowest-index failure on every
-// run.
-func TestParallelSVFailureDeterministic(t *testing.T) {
-	f := newFixture(t, 150)
-	blk := reencode(t, f.lastEBV)
-	corrupted := 0
-	for _, tx := range blk.Txs {
-		if len(tx.Bodies) > 0 && len(tx.Bodies[0].UnlockScript) > 10 {
-			tx.Bodies[0].UnlockScript[5] ^= 1
-			tx.SealInputHashes()
-			corrupted++
-		}
-	}
-	if corrupted < 2 {
-		t.Skipf("need >= 2 corruptible txs, have %d", corrupted)
-	}
-	rebuild(t, blk)
-
-	_, seqErr := f.ebvVal.ConnectBlock(blk)
-	if seqErr == nil {
-		t.Fatal("sequential validator accepted the corrupt block")
-	}
-	par, _ := parallelFixture(t, f, 8)
-	for run := 0; run < 25; run++ {
-		_, err := par.ConnectBlock(blk)
-		if err == nil {
-			t.Fatalf("run %d: corrupt block accepted", run)
-		}
-		if err.Error() != seqErr.Error() {
-			t.Fatalf("run %d: nondeterministic error:\n  want: %v\n  got:  %v", run, seqErr, err)
-		}
+		sameVerdict(t, fmt.Sprintf("run %d", run), refErr, err)
 	}
 }
 

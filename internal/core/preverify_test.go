@@ -47,15 +47,15 @@ func TestRunWorkersInlineForDegenerateShapes(t *testing.T) {
 }
 
 // TestPreverifyConnectEquivalence checks the two-stage split against
-// the sequential validator over the adversarial corpus: Preverify +
-// ConnectPreverified must accept/reject identically to ConnectBlock
-// and report the identical error, and the honest block must land both
-// validators on identical state.
+// the reference model over the adversarial corpus: Preverify +
+// ConnectPreverified must accept/reject exactly as the reference does
+// and report the identical error, and the honest block must land on
+// the reference's byte-identical state.
 func TestPreverifyConnectEquivalence(t *testing.T) {
 	f := newFixture(t, 150)
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			seq, seqStatus := pipelineFixture(t, f, 1)
+			ref := refFixture(t, f)
 			two, twoStatus := pipelineFixture(t, f, 1)
 
 			for _, c := range adversarialCases() {
@@ -64,36 +64,32 @@ func TestPreverifyConnectEquivalence(t *testing.T) {
 					t.Logf("case %s: no usable spends, skipped", c.name)
 					continue
 				}
-				_, errSeq := seq.ConnectBlock(blk)
+				errRef := ref.connect(blk)
 				pv, errTwo := two.Preverify(blk, nil, workers)
 				if errTwo == nil {
-					_, errTwo = two.ConnectPreverified(blk, pv)
+					_, errTwo = two.ConnectPreverified(blk, pv, nil)
 				}
-				if errSeq == nil || errTwo == nil {
-					t.Fatalf("case %s: sequential err=%v, two-stage err=%v (both must reject)", c.name, errSeq, errTwo)
+				if errRef == nil {
+					t.Fatalf("case %s: reference accepted the block", c.name)
 				}
-				if errSeq.Error() != errTwo.Error() {
-					t.Fatalf("case %s: error divergence:\n  sequential: %v\n  two-stage:  %v", c.name, errSeq, errTwo)
-				}
+				sameVerdict(t, "case "+c.name, errRef, errTwo)
 			}
 
-			if _, err := seq.ConnectBlock(f.lastEBV); err != nil {
-				t.Fatalf("sequential honest block: %v", err)
+			if err := ref.connect(f.lastEBV); err != nil {
+				t.Fatalf("reference honest block: %v", err)
 			}
 			pv, err := two.Preverify(f.lastEBV, nil, workers)
 			if err != nil {
 				t.Fatalf("preverify honest block: %v", err)
 			}
-			bd, err := two.ConnectPreverified(f.lastEBV, pv)
+			bd, err := two.ConnectPreverified(f.lastEBV, pv, nil)
 			if err != nil {
 				t.Fatalf("connect preverified honest block: %v", err)
 			}
 			if bd.Txs != len(f.lastEBV.Txs) || bd.Inputs != f.lastEBV.TotalInputs() {
 				t.Fatalf("two-stage breakdown shape: %+v", bd)
 			}
-			if seqStatus.UnspentCount() != twoStatus.UnspentCount() {
-				t.Fatalf("state divergence: %d vs %d unspent", seqStatus.UnspentCount(), twoStatus.UnspentCount())
-			}
+			sameState(t, "honest block", ref.status, twoStatus)
 		})
 	}
 }
@@ -134,7 +130,7 @@ func TestConnectPreverifiedStaleLinkRejected(t *testing.T) {
 	tipBefore, _ := status.Tip()
 	unspentBefore := status.UnspentCount()
 
-	if _, err := v.ConnectPreverified(f.lastEBV, pv); !errors.Is(err, ErrBadLink) {
+	if _, err := v.ConnectPreverified(f.lastEBV, pv, nil); !errors.Is(err, ErrBadLink) {
 		t.Fatalf("stale preverified block must fail the link recheck, got %v", err)
 	}
 	if tip, _ := status.Tip(); tip != tipBefore || status.UnspentCount() != unspentBefore {

@@ -55,14 +55,9 @@ type Config struct {
 	// to a power of two (statusdb.NewSharded). 0 picks the default;
 	// 1 degrades to the single-lock layout.
 	StatusShards int
-	// ParallelSV, when > 1, runs EBV Script Validation on that many
-	// goroutines per block (the paper's future-work direction; see
-	// core.WithParallelSV).
-	ParallelSV int
 	// ParallelValidation, when > 1, runs the full EBV proof-
 	// verification pipeline — consistency, sighash, EV and SV — on
 	// that many goroutines per block (core.WithParallelValidation).
-	// It supersedes ParallelSV and takes precedence when both are set.
 	ParallelValidation int
 	// VerifyCacheSize, when > 0, installs a verified-proof cache of
 	// that many entries on the EBV validator
@@ -338,13 +333,7 @@ func NewEBVNode(cfg Config) (*EBVNode, error) {
 		return nil, fmt.Errorf("node: status snapshot (tip %d,%v) does not match chain (tip %d,%v); delete %s to resync",
 			sTip, sOK, cTip, cOK, cfg.Dir)
 	}
-	var opts []core.EBVOption
-	switch {
-	case cfg.ParallelValidation > 1:
-		opts = append(opts, core.WithParallelValidation(cfg.ParallelValidation))
-	case cfg.ParallelSV > 1:
-		opts = append(opts, core.WithParallelSV(cfg.ParallelSV))
-	}
+	opts := []core.EBVOption{core.WithParallelValidation(cfg.ParallelValidation)}
 	if cfg.VerifyCacheSize > 0 {
 		opts = append(opts, core.WithVerificationCache(vcache.New(cfg.VerifyCacheSize)))
 	}

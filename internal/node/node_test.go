@@ -329,32 +329,6 @@ func TestBitcoinNodeRestartResumes(t *testing.T) {
 	}
 }
 
-func TestParallelSVNodeAgrees(t *testing.T) {
-	g, _, ebvChain := buildChains(t, 120)
-	seq, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seq.Close()
-	par, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true, ParallelSV: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer par.Close()
-	if _, err := RunIBDEBV(ebvChain, seq, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunIBDEBV(ebvChain, par, 0, nil); err != nil {
-		t.Fatal(err)
-	}
-	if seq.Status.UnspentCount() != par.Status.UnspentCount() {
-		t.Fatal("parallel node diverged")
-	}
-	if int(par.Status.UnspentCount()) != g.UTXOCount() {
-		t.Fatal("parallel node vs ground truth")
-	}
-}
-
 func TestParallelValidationNodeAgrees(t *testing.T) {
 	g, _, ebvChain := buildChains(t, 120)
 	seq, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true})
@@ -362,9 +336,7 @@ func TestParallelValidationNodeAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seq.Close()
-	// ParallelValidation takes precedence over ParallelSV when both are
-	// set; this node runs the full pipeline.
-	par, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true, ParallelValidation: 4, ParallelSV: 2})
+	par, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true, ParallelValidation: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

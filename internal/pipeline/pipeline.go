@@ -175,7 +175,7 @@ func Run(src Source, chain Chain, v *core.EBVValidator, start uint64, cfg Config
 			}
 			return &BlockError{Height: it.height, Breakdown: bd, Err: it.err, Fetch: it.fetch}
 		}
-		bd, err := v.ConnectPreverifiedIn(it.blk, it.pv, it.scr)
+		bd, err := v.ConnectPreverified(it.blk, it.pv, it.scr)
 		if err != nil {
 			stop()
 			return &BlockError{Height: it.height, Breakdown: bd, Err: err}

@@ -33,13 +33,11 @@
 //
 // Stored encodings are immutable: every mutation installs a freshly
 // allocated encoding, so a snapshot's shallow copies stay stable after
-// the locks are released. The batched commit path (the default)
-// preserves this by packing all of a block's replacement encodings
-// into one freshly allocated slab and installing non-overlapping
-// sub-slices of it; the trade-off is that a replaced sub-slice keeps
-// its slab reachable until every encoding from that commit has itself
-// been replaced. SetBatchedCommit(false) reverts to one allocation per
-// vector — the "per-vector writes" ablation arm.
+// the locks are released. A commit preserves this by packing all of a
+// block's replacement encodings into one freshly allocated slab and
+// installing non-overlapping sub-slices of it; the trade-off is that a
+// replaced sub-slice keeps its slab reachable until every encoding
+// from that commit has itself been replaced.
 package statusdb
 
 import (
@@ -116,7 +114,6 @@ type shard struct {
 // NewSharded.
 type DB struct {
 	optimize bool
-	batched  bool
 	mask     uint64
 	shards   []shard
 
@@ -160,7 +157,7 @@ func NewSharded(optimize bool, shards int) *DB {
 	for p < n {
 		p <<= 1
 	}
-	d := &DB{optimize: optimize, batched: true, mask: uint64(p - 1), shards: make([]shard, p)}
+	d := &DB{optimize: optimize, mask: uint64(p - 1), shards: make([]shard, p)}
 	for i := range d.shards {
 		d.shards[i].vectors = make(map[uint64][]byte)
 	}
@@ -168,16 +165,6 @@ func NewSharded(optimize bool, shards int) *DB {
 		return &probeScratch{groups: make([][]int, len(d.shards))}
 	}
 	return d
-}
-
-// SetBatchedCommit selects between the batched commit encode path (one
-// slab allocation per block, the default) and one allocation per
-// vector. Both produce byte-identical state; the toggle exists for the
-// ablation-overhead experiment. Not safe concurrently with commits.
-func (d *DB) SetBatchedCommit(on bool) {
-	d.commitMu.Lock()
-	d.batched = on
-	d.commitMu.Unlock()
 }
 
 // Shards returns the shard count the set was built with.
@@ -494,39 +481,31 @@ func (d *DB) Connect(height uint64, nOutputs int, spends []Spend) error {
 	return nil
 }
 
-// encodeStaged serializes every staged vector. In batched mode the
-// whole block's encodings land in one slab (installed as
-// non-overlapping capacity-clamped sub-slices, preserving the
-// encoding-immutability contract); otherwise each vector is encoded
-// into its own allocation. Vectors return to the pool as they are
-// encoded. Caller holds commitMu; no shard locks are needed.
+// encodeStaged serializes every staged vector into one slab for the
+// whole block, installed as non-overlapping capacity-clamped
+// sub-slices (preserving the encoding-immutability contract). Vectors
+// return to the pool as they are encoded. Caller holds commitMu; no
+// shard locks are needed.
 func (d *DB) encodeStaged() {
 	cs := &d.cs
-	var slab []byte
-	if d.batched {
-		total := 0
-		for si := range cs.staged {
-			for i := range cs.staged[si] {
-				if cs.staged[si][i].v != nil {
-					total += cs.staged[si][i].size
-				}
+	total := 0
+	for si := range cs.staged {
+		for i := range cs.staged[si] {
+			if cs.staged[si][i].v != nil {
+				total += cs.staged[si][i].size
 			}
 		}
-		slab = make([]byte, 0, total)
 	}
+	slab := make([]byte, 0, total)
 	for si := range cs.staged {
 		for i := range cs.staged[si] {
 			e := &cs.staged[si][i]
 			if e.v == nil {
 				continue
 			}
-			if d.batched {
-				off := len(slab)
-				slab = d.appendEncode(slab, e.v)
-				e.enc = slab[off:len(slab):len(slab)]
-			} else {
-				e.enc = d.encode(e.v)
-			}
+			off := len(slab)
+			slab = d.appendEncode(slab, e.v)
+			e.enc = slab[off:len(slab):len(slab)]
 			putVec(e.v)
 			e.v = nil
 		}

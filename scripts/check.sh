@@ -34,6 +34,15 @@ echo "== flake loop (concurrent soak, byte counters, peer out-queues) =="
 go test -count=20 -run 'TestStatusDBConcurrentSoak|TestByteCounters|TestHelloFirstWhileAnnouncing|TestNeverReadingSubmitter|TestPacedBlockServingStalls|TestStalledLightSubscriberGetsDropFlag' \
 	./internal/statusdb ./internal/p2p
 
+echo "== connect-route equivalence loop (reference model, -race) =="
+# Block connect has one route (verify stage + ordered reduce) at every
+# worker count; these suites pin it to the test-only reference model
+# and to the recycling of its per-block verdict storage. Their failure
+# selection depends on goroutine scheduling, so run them repeatedly
+# under the race detector.
+go test -race -count=5 -run 'TestPipelineEquivalence|TestPipelineFailureDeterministic|TestPreverifyConnectEquivalence|TestReferenceAcceptsChain|TestRecycledVerdictsDoNotLeak' \
+	./internal/core
+
 echo "== allocation gate (warm ingest path) =="
 # The zero-alloc tests carry a !race build tag (race instrumentation
 # skews allocation accounting), so the -race pass above never sees
@@ -239,8 +248,8 @@ fi
 echo "BENCH_shards.json written"
 
 echo "== ingest overhead bench smoke (with CPU profile) =="
-# Exercises every ablation arm (zero-copy, copy-decode, unpooled
-# scratch, per-vector writes) and the -cpuprofile plumbing in one run.
+# Exercises every ablation arm (uv-floor, probe-only, copy-decode,
+# zero-copy, unpooled scratch) and the -cpuprofile plumbing in one run.
 "$tmp/bin/ebvbench" -exp ablation-overhead -quick -blocks 200 \
 	-datadir "$tmp/bench" -artifactdir "$tmp" \
 	-cpuprofile "$tmp/overhead.cpu.prof" >/dev/null 2>&1
