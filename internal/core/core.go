@@ -110,7 +110,8 @@ func (b *Breakdown) Add(o *Breakdown) {
 }
 
 // stopwatch measures consecutive phases: each lap charges the elapsed
-// time since the previous lap to one counter.
+// time since the previous lap to one counter. The zero stopwatch is
+// off: its laps read no clock and charge nothing.
 type stopwatch struct {
 	last time.Time
 }
@@ -118,6 +119,9 @@ type stopwatch struct {
 func newStopwatch() stopwatch { return stopwatch{last: time.Now()} }
 
 func (w *stopwatch) lap(dst *time.Duration) {
+	if w.last.IsZero() {
+		return
+	}
 	now := time.Now()
 	*dst += now.Sub(w.last)
 	w.last = now

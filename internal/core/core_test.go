@@ -573,35 +573,6 @@ func TestBitcoinDisconnectChecksTip(t *testing.T) {
 	}
 }
 
-func TestValidateInputErrors(t *testing.T) {
-	f := newFixture(t, 150)
-	var donor *txmodel.InputBody
-	for _, tx := range f.lastEBV.Txs {
-		if len(tx.Bodies) > 0 {
-			donor = &tx.Bodies[0]
-			break
-		}
-	}
-	if donor == nil {
-		t.Skip("no spends")
-	}
-	var bd Breakdown
-	sigHash := f.lastEBV.Txs[1].SigHash()
-
-	// Unknown header height.
-	bad := *donor
-	bad.Height = 999_999
-	if err := f.ebvVal.ValidateInput(&bad, sigHash, &bd); !errors.Is(err, ErrMissingOutput) {
-		t.Fatalf("future height: %v", err)
-	}
-	// Relative index out of range.
-	bad2 := *donor
-	bad2.RelIndex = 60000
-	if err := f.ebvVal.ValidateInput(&bad2, sigHash, &bd); !errors.Is(err, ErrBadProof) && !errors.Is(err, ErrMissingOutput) {
-		t.Fatalf("rel index: %v", err)
-	}
-}
-
 func TestBreakdownAddAndTotal(t *testing.T) {
 	a := Breakdown{DBO: 1, EV: 2, UV: 3, SV: 4, Other: 5, Inputs: 6, Outputs: 7, Txs: 8}
 	b := a

@@ -51,13 +51,13 @@ func WithParallelValidation(workers int) EBVOption {
 // skip the EV Merkle fold and the SV script execution. UV, duplicate-
 // spend detection, maturity, and value conservation always run live:
 // they depend on mutable chain state a past verdict cannot speak for.
-// Admission is the cache's only writer: ValidateInput (so mempool
-// admission via ValidateTx) and ValidateTxsBatch populate it, which
-// pre-warms block validation on the relay path. Every block-connect
-// route only probes it: a block's proofs spend now-spent outputs, so
-// their keys could hit again only when a reorg reconnects the same
-// transaction, which then misses and runs the full checks (Bitcoin
-// Core's ConnectBlock likewise reads its script cache, never writes it).
+// Admission is the cache's only writer: ValidateTxsBatch (so mempool
+// admission via ValidateTx) populates it, which pre-warms block
+// validation on the relay path. Every block-connect route only probes
+// it: a block's proofs spend now-spent outputs, so their keys could
+// hit again only when a reorg reconnects the same transaction, which
+// then misses and runs the full checks (Bitcoin Core's ConnectBlock
+// likewise reads its script cache, never writes it).
 func WithVerificationCache(c *vcache.Cache) EBVOption {
 	return func(v *EBVValidator) { v.vcache = c }
 }
@@ -104,85 +104,10 @@ func (v *EBVValidator) cacheKey(body *txmodel.InputBody, sigHash hashx.Hash) (vc
 	return vcache.Key(hashx.Sum(buf[:])), true
 }
 
-// cacheProbe consults the verified-proof cache for one input. A true
-// hit additionally requires the body's relative index to be in range
-// (an out-of-range index can never have been inserted, but the full
-// path owns that error message). The probe time is charged to EV —
-// the phase a hit replaces.
-func (v *EBVValidator) cacheProbe(key vcache.Key, body *txmodel.InputBody, bd *Breakdown) (*txmodel.TxOut, bool) {
-	w := newStopwatch()
-	hit := v.vcache.Contains(key)
-	var out *txmodel.TxOut
-	if hit {
-		out, hit = body.SpentOutput()
-	}
-	w.lap(&bd.EV)
-	if hit {
-		bd.CacheHits++
-	} else {
-		bd.CacheMisses++
-	}
-	return out, hit
-}
-
-// ValidateInput checks one input body against the chain state: EV via
-// the Merkle branch, UV via the bit vector, SV via the script engine.
-// It is the unit the paper's transaction validation (§IV-D1) builds
-// on; ValidateTx calls it for every input. (Block connect runs the
-// same EV and SV through verifyTx and UV through one batched probe.)
-// With a verification cache installed, a hit skips the EV fold and the
-// script execution (UV stays live), and a fully successful uncached
-// check inserts its key — this is the mempool-admission path that
-// pre-warms block validation.
-func (v *EBVValidator) ValidateInput(body *txmodel.InputBody, sigHash hashx.Hash, bd *Breakdown) error {
-	key, keyOK := v.cacheKey(body, sigHash)
-	if keyOK {
-		if _, hit := v.cacheProbe(key, body, bd); hit {
-			w := newStopwatch()
-			err := v.uvInput(body)
-			w.lap(&bd.UV)
-			return err
-		}
-	}
-	out, err := v.validateInputEVUV(body, bd)
-	if err != nil {
-		return err
-	}
-	w := newStopwatch()
-	// SV: unlocking script against the ELs-carried locking script.
-	if err := v.engine.Execute(body.UnlockScript, out.LockScript, sigHash); err != nil {
-		w.lap(&bd.SV)
-		return fmt.Errorf("%w: %v", ErrScriptFailed, err)
-	}
-	w.lap(&bd.SV)
-	if keyOK {
-		v.vcache.Add(key)
-	}
-	return nil
-}
-
-// validateInputEVUV performs Existence and Unspent Validation for one
-// input and returns the spent output for the Script Validation step.
-func (v *EBVValidator) validateInputEVUV(body *txmodel.InputBody, bd *Breakdown) (*txmodel.TxOut, error) {
-	w := newStopwatch()
-	out, err := v.evInput(body)
-	w.lap(&bd.EV)
-	if err != nil {
-		return nil, err
-	}
-	err = v.uvInput(body)
-	w.lap(&bd.UV)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // evInput performs Existence Validation for one input: fold the branch
 // from the ELs leaf, compare against the stored header of the named
 // height, and extract the spent output. It reads only immutable chain
-// state, so verifyTx calls it from worker goroutines; ValidateInput
-// shares it so both report identical errors.
+// state, so verifyTx calls it from worker goroutines.
 func (v *EBVValidator) evInput(body *txmodel.InputBody) (*txmodel.TxOut, error) {
 	hdr, ok := v.headers.Header(body.Height)
 	if !ok {
@@ -199,26 +124,14 @@ func (v *EBVValidator) evInput(body *txmodel.InputBody) (*txmodel.TxOut, error) 
 	return out, nil
 }
 
-// uvInput performs Unspent Validation for one input: probe the bit at
-// the derived absolute position.
-func (v *EBVValidator) uvInput(body *txmodel.InputBody) error {
-	unspent, err := v.status.IsUnspent(body.Height, body.AbsPosition())
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadProof, err)
-	}
-	if !unspent {
-		return fmt.Errorf("%w: height %d position %d", ErrSpentOutput, body.Height, body.AbsPosition())
-	}
-	return nil
-}
-
-// uvProbes holds one block's batched Unspent Validation answers, in
-// the scan order of collectSpends. Nothing mutates the status database
-// between a block's probes and its commit, so probing everything up
-// front in one batch (grouped per shard, probed concurrently for
-// large blocks) returns exactly what per-input IsUnspent calls at
-// scan time would; check surfaces each verdict with uvInput's error
-// mapping, preserving error selection input for input.
+// uvProbes holds the batched Unspent Validation answers for one block
+// (in collectSpends order) or one admission batch (in submission
+// order). Nothing mutates the status database between the probes and
+// the reduce that reads them, so probing everything up front in one
+// batch (grouped per shard, probed concurrently for large batches)
+// returns exactly what per-input IsUnspent calls at scan time would;
+// check surfaces each verdict as a UV error, preserving error selection
+// input for input.
 type uvProbes struct {
 	spends []statusdb.Spend
 	res    []statusdb.ProbeResult
@@ -275,7 +188,9 @@ func (v *EBVValidator) probeUV(spends []statusdb.Spend, bd *Breakdown, s *ingest
 	return uvProbes{spends: spends, res: res}
 }
 
-// check returns input i's UV verdict with uvInput's exact error text.
+// check returns input i's UV verdict: nil for an unspent output,
+// ErrSpentOutput for a cleared bit, ErrBadProof for a position the
+// status database does not hold.
 func (p *uvProbes) check(i int) error {
 	r := p.res[i]
 	if r.Err != nil {
@@ -359,53 +274,6 @@ func (v *EBVValidator) checkStructure(b *blockmodel.EBVBlock) error {
 	}
 	if merkle.Root(b.TxLeaves()) != b.Header.MerkleRoot {
 		return ErrBadMerkleRoot
-	}
-	return nil
-}
-
-// ValidateTx checks a standalone EBV transaction against the current
-// chain state (mempool admission): proof consistency plus EV/UV/SV for
-// every input and value conservation. It does not mutate the status
-// database.
-func (v *EBVValidator) ValidateTx(tx *txmodel.EBVTx) error {
-	if tx.Tidy.IsCoinbase() {
-		return ErrStandaloneCoinbase
-	}
-	if err := tx.Consistent(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadProof, err)
-	}
-	var bd Breakdown
-	sigHash := tx.SigHash()
-	seen := make(map[statusdb.Spend]struct{}, len(tx.Bodies))
-	nextHeight := uint64(0)
-	if tip, ok := v.headers.TipHeight(); ok {
-		nextHeight = tip + 1
-	}
-	var inSum uint64
-	for i := range tx.Bodies {
-		body := &tx.Bodies[i]
-		sp := statusdb.Spend{Height: body.Height, Pos: body.AbsPosition()}
-		if _, dup := seen[sp]; dup {
-			return fmt.Errorf("%w: input %d", ErrDuplicateSpend, i)
-		}
-		seen[sp] = struct{}{}
-		if err := v.ValidateInput(body, sigHash, &bd); err != nil {
-			return fmt.Errorf("input %d: %w", i, err)
-		}
-		// Maturity at the earliest height this transaction could be
-		// mined — the same rule ConnectBlock enforces.
-		if body.PrevTx.IsCoinbase() && nextHeight-body.Height < txmodel.CoinbaseMaturity {
-			return fmt.Errorf("%w: input %d", ErrImmature, i)
-		}
-		out, _ := body.SpentOutput()
-		inSum += out.Value
-	}
-	outSum, ok := tx.OutputSum()
-	if !ok {
-		return fmt.Errorf("%w: outputs", ErrOverflow)
-	}
-	if outSum > inSum {
-		return fmt.Errorf("%w: spends %d, creates %d", ErrValueImbalance, inSum, outSum)
 	}
 	return nil
 }

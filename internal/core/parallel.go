@@ -8,6 +8,8 @@ import (
 
 	"ebv/internal/blockmodel"
 	"ebv/internal/ingest"
+	"ebv/internal/script"
+	"ebv/internal/statusdb"
 	"ebv/internal/txmodel"
 )
 
@@ -24,7 +26,10 @@ import (
 // cheap sequential reduce over the verdicts, in the scan order of a
 // one-loop validator (EV, UV, SV, maturity, value per input), so
 // acceptance, rejection, and the reported error do not depend on the
-// worker count.
+// worker count. Every other verdict runs the same verify stage:
+// transaction admission (txbatch.go) with its own non-committing
+// reduce, and the light client's VerifyWithoutUV with the block reduce
+// minus UV.
 //
 // Determinism: runWorkers guarantees that every task index at or
 // below the lowest failing index ran to completion, so the reduce —
@@ -100,11 +105,11 @@ type inputVerdict struct {
 
 // txVerdict is one transaction's worker-side result. ran is false
 // for a transaction the pool never reached (cancelled past an earlier
-// failure); a Preverified's storage is zeroed per block, so a stale
-// verdict from a recycled block can never read as run.
+// failure); a Preverified's storage is zeroed on every reset, so a
+// stale verdict from recycled storage can never read as run.
 type txVerdict struct {
 	ran      bool
-	coinbase bool // non-first coinbase: structural failure
+	coinbase bool // a block's non-first coinbase, or a standalone one submitted for admission
 	consErr  error
 	inputs   []inputVerdict
 	other    time.Duration // consistency + sighash time
@@ -130,13 +135,25 @@ func (tv *txVerdict) ok() bool {
 
 // verifyTx performs the worker-side share of one transaction's
 // validation into tv, whose inputs slice already has one zeroed entry
-// per body: consistency binding, sighash, and per-input EV + SV. It
-// touches only immutable chain state (headers), the transaction's own
-// proof bytes and tv, so any number of verifyTx calls on distinct
-// verdicts may run concurrently.
-func (v *EBVValidator) verifyTx(tx *txmodel.EBVTx, tv *txVerdict) {
+// per body: consistency binding, sighash, and per-input EV + SV,
+// stopping at the first input that fails either — the reduce never
+// reads past it, so the rest would be work a hostile transaction
+// makes us do for nothing. It touches only immutable chain state
+// (headers), the verified-proof cache, the transaction's own proof
+// bytes and tv, so any number of verifyTx calls on distinct verdicts
+// may run concurrently.
+//
+// admit selects transaction admission: a cache miss whose EV and SV
+// both pass inserts its key (admission is the cache's only writer;
+// block connect only probes), and no phase is timed — admission
+// reports no Breakdown, and the clock reads would be its only cost
+// beyond the checks themselves.
+func (v *EBVValidator) verifyTx(tx *txmodel.EBVTx, tv *txVerdict, admit bool) {
 	tv.ran = true
-	w := newStopwatch()
+	var w stopwatch // off in admit mode
+	if !admit {
+		w = newStopwatch()
+	}
 	if tx.Tidy.IsCoinbase() {
 		tv.coinbase = true
 		w.lap(&tv.other)
@@ -154,70 +171,77 @@ func (v *EBVValidator) verifyTx(tx *txmodel.EBVTx, tv *txVerdict) {
 		body := &tx.Bodies[bi]
 		// Verified-proof cache: a hit stands in for a clean EV fold and
 		// script execution; the reduce still runs UV and every other
-		// live-state check. Connect only probes (admission is the
-		// cache's sole writer), and probes need no coordination.
+		// live-state check. A true hit additionally requires the
+		// relative index in range: an out-of-range index can never have
+		// been inserted, and EV owns that error message.
 		key, keyOK := v.cacheKey(body, sigHash)
 		if keyOK {
-			sw := newStopwatch()
 			hit := v.vcache.Contains(key)
-			var out *txmodel.TxOut
 			if hit {
-				out, hit = body.SpentOutput()
+				iv.out, hit = body.SpentOutput()
 			}
-			sw.lap(&iv.ev)
 			if hit {
+				w.lap(&iv.ev)
 				tv.cacheHits++
-				iv.out = out
 				continue
 			}
 			tv.cacheMisses++
 		}
-		sw := newStopwatch()
 		out, err := v.evInput(body)
-		sw.lap(&iv.ev)
+		w.lap(&iv.ev)
 		if err != nil {
 			iv.evErr = err
-			continue
+			return
 		}
 		iv.out = out
-		sw = newStopwatch()
 		iv.svErr = v.engine.Execute(body.UnlockScript, out.LockScript, sigHash)
-		sw.lap(&iv.sv)
+		w.lap(&iv.sv)
+		if iv.svErr != nil {
+			return
+		}
+		if admit && keyOK {
+			v.vcache.Add(key)
+		}
 	}
 }
 
-// Preverified carries stage A's output for one block: the structure
-// verdict's bookkeeping plus one proof-verification verdict per
-// transaction, ready for the sequential reduce (ConnectPreverified).
-// A Preverified is consumed exactly once; its Breakdown accumulates
-// across both stages. The verdicts' input entries share one slab, and
-// ConnectBlockIn recycles the whole value through preverifiedPool.
+// Preverified carries stage A's output for a run of transactions — a
+// block's, or an admission batch: one proof-verification verdict per
+// transaction, ready for an ordered reduce, plus the Breakdown the
+// stages accumulate. A Preverified is consumed exactly once. The
+// verdicts' input entries share one slab, and ConnectBlockIn and
+// ValidateTxsBatch recycle the whole value through preverifiedPool.
 type Preverified struct {
-	verdicts []txVerdict    // one per transaction; [0], the coinbase, never runs
+	verdicts []txVerdict    // one per transaction; a block's [0], the coinbase, never runs
 	inputs   []inputVerdict // backing slab of every verdict's inputs
 	bd       Breakdown
 }
 
-// preverifiedPool recycles ConnectBlockIn's verdict storage, so a warm
-// connect allocates no per-transaction or per-input verdicts.
+// preverifiedPool recycles the verdict storage, so a warm connect or
+// admission batch allocates no per-transaction or per-input verdicts.
 var preverifiedPool = sync.Pool{New: func() any { return new(Preverified) }}
 
-// reset sizes pv's storage for b and zeroes it — every ran flag false,
-// every input verdict empty — then carves each transaction's inputs
-// out of the slab.
-func (pv *Preverified) reset(b *blockmodel.EBVBlock) {
-	pv.bd = Breakdown{Txs: len(b.Txs), Inputs: b.TotalInputs(), Outputs: b.TotalOutputs()}
-	pv.verdicts = zeroed(pv.verdicts, len(b.Txs))
-	pv.inputs = zeroed(pv.inputs, pv.bd.Inputs)
+// reset sizes pv's storage for txs and zeroes it — every ran flag
+// false, every input verdict empty — then carves each transaction's
+// inputs out of the slab. The Breakdown restarts with the transaction
+// and input counts.
+func (pv *Preverified) reset(txs []*txmodel.EBVTx) {
+	n := 0
+	for _, tx := range txs {
+		n += len(tx.Bodies)
+	}
+	pv.bd = Breakdown{Txs: len(txs), Inputs: n}
+	pv.verdicts = zeroed(pv.verdicts, len(txs))
+	pv.inputs = zeroed(pv.inputs, n)
 	off := 0
-	for ti, tx := range b.Txs {
+	for ti, tx := range txs {
 		end := off + len(tx.Bodies)
 		pv.verdicts[ti].inputs = pv.inputs[off:end:end]
 		off = end
 	}
 }
 
-// release drops pv's references into its block (spent outputs,
+// release drops pv's references into its transactions (spent outputs,
 // errors) and returns it to the pool.
 func (pv *Preverified) release() {
 	clear(pv.verdicts)
@@ -260,8 +284,9 @@ func (v *EBVValidator) Preverify(b *blockmodel.EBVBlock, hs HeaderSource, worker
 		sv = &c
 	}
 	pv := preverifiedPool.Get().(*Preverified)
-	pv.reset(b)
+	pv.reset(b.Txs)
 	bd := &pv.bd
+	bd.Outputs = b.TotalOutputs()
 	w := newStopwatch()
 	if err := sv.checkStructure(b); err != nil {
 		w.lap(&bd.Other)
@@ -276,7 +301,7 @@ func (v *EBVValidator) Preverify(b *blockmodel.EBVBlock, hs HeaderSource, worker
 		pw := newStopwatch()
 		runWorkers(workers, len(b.Txs)-1, func(i int) bool {
 			tv := &pv.verdicts[i+1]
-			sv.verifyTx(b.Txs[i+1], tv)
+			sv.verifyTx(b.Txs[i+1], tv, false)
 			return tv.ok()
 		})
 		pw.lap(&poolWall)
@@ -306,18 +331,37 @@ func (v *EBVValidator) ConnectPreverified(b *blockmodel.EBVBlock, pv *Preverifie
 	return bd, v.reduceAndConnect(b, pv, s)
 }
 
-// reduceAndConnect is the stage B body: the sequential reduce over
-// worker verdicts in a one-loop validator's exact check order —
-// batched UV probes consumed in scan order, duplicate-spend
-// detection, maturity, value conservation, subsidy — so the first
-// failure and its message do not depend on the worker count,
-// followed by the bit-vector commit. Worker-failed transactions
-// cancel the pool past their index, so an unrun verdict can only sit
-// beyond the index the scan stops at; the guard below is belt and
-// braces.
+// reduceAndConnect is the stage B body: one batched UV probe over the
+// block's spends, the ordered reduce (reduceBlock), and — only if it
+// passes — the bit-vector commit.
 func (v *EBVValidator) reduceAndConnect(b *blockmodel.EBVBlock, pv *Preverified, s *ingest.Scratch) error {
 	bd := &pv.bd
 	uv := v.probeUV(collectSpends(b, s), bd, s)
+	if err := v.reduceBlock(b, pv, &uv, s); err != nil {
+		return err
+	}
+	// Every input passed, so the collected spends are exactly the
+	// spends to apply.
+	w := newStopwatch()
+	err := v.status.Connect(b.Header.Height, bd.Outputs, uv.spends)
+	w.lap(&bd.Other)
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidBlock, err)
+	}
+	return nil
+}
+
+// reduceBlock is the ordered reduce over a block's worker verdicts, in
+// a one-loop validator's exact check order — per input duplicate
+// spend, EV, UV, SV, maturity and input sum; per transaction value
+// conservation; then the subsidy — so the first failure and its
+// message do not depend on the worker count. uv holds the block's
+// batched UV verdicts in collectSpends order; a nil uv skips Unspent
+// Validation (VerifyWithoutUV). Worker-failed transactions cancel the
+// pool past their index, so an unrun verdict can only sit beyond the
+// index the scan stops at; the guard below is belt and braces.
+func (v *EBVValidator) reduceBlock(b *blockmodel.EBVBlock, pv *Preverified, uv *uvProbes, s *ingest.Scratch) error {
+	bd := &pv.bd
 	idx := 0
 	seen := scratchSeen(s, bd.Inputs)
 	var totalFees uint64
@@ -345,7 +389,7 @@ func (v *EBVValidator) reduceAndConnect(b *blockmodel.EBVBlock, pv *Preverified,
 		for bi := range tx.Bodies {
 			body := &tx.Bodies[bi]
 			iv := &tv.inputs[bi]
-			sp := uv.spends[idx]
+			sp := statusdb.Spend{Height: body.Height, Pos: body.AbsPosition()}
 			if _, dup := seen[sp]; dup {
 				w.lap(&bd.UV)
 				return fmt.Errorf("%w: height %d position %d", ErrDuplicateSpend, sp.Height, sp.Pos)
@@ -356,15 +400,14 @@ func (v *EBVValidator) reduceAndConnect(b *blockmodel.EBVBlock, pv *Preverified,
 			// EV ran on the workers; the UV verdict applies here, in
 			// EV-then-UV-then-SV order.
 			if iv.evErr != nil {
-				w = newStopwatch()
 				return fmt.Errorf("tx %d input %d: %w", ti, bi, iv.evErr)
 			}
-			if err := uv.check(idx); err != nil {
-				w = newStopwatch()
-				return fmt.Errorf("tx %d input %d: %w", ti, bi, err)
+			if uv != nil {
+				if err := uv.check(idx); err != nil {
+					return fmt.Errorf("tx %d input %d: %w", ti, bi, err)
+				}
 			}
 			if iv.svErr != nil {
-				w = newStopwatch()
 				return fmt.Errorf("tx %d input %d: %w: %v", ti, bi, ErrScriptFailed, iv.svErr)
 			}
 			w = newStopwatch()
@@ -410,15 +453,48 @@ func (v *EBVValidator) reduceAndConnect(b *blockmodel.EBVBlock, pv *Preverified,
 		return fmt.Errorf("%w: claims %d, allowed %d", ErrBadSubsidy, cbSum, blockmodel.Subsidy(b.Header.Height)+totalFees)
 	}
 	w.lap(&bd.Other)
-
-	// Every input passed, so the collected spends are exactly the
-	// spends to apply.
-	if err := v.status.Connect(b.Header.Height, bd.Outputs, uv.spends); err != nil {
-		w.lap(&bd.Other)
-		return fmt.Errorf("%w: %v", ErrInvalidBlock, err)
-	}
-	w.lap(&bd.Other)
 	return nil
+}
+
+// VerifyWithoutUV is the headers-only verdict on b — the full
+// validator's verdict minus Unspent Validation, which is what a
+// Dietcoin-style light client can check without the bit-vector set:
+// structure, linkage to the header below it, proof of work, stake
+// positions, the Merkle root, per-input EV (against hs) and SV,
+// duplicate spends within b, maturity, value conservation and the
+// subsidy, with ConnectBlock's error text. Proof heights resolve
+// against hs truncated below b's height, so a proof can only name a
+// block older than b. Nothing is cached and nothing is committed.
+func VerifyWithoutUV(b *blockmodel.EBVBlock, hs HeaderSource, eng *script.Engine) error {
+	v := &EBVValidator{engine: eng, headers: headersBelow{hs, b.Header.Height}}
+	pv, err := v.Preverify(b, nil, 1)
+	if err == nil {
+		err = v.reduceBlock(b, pv, nil, nil)
+	}
+	pv.release()
+	return err
+}
+
+// headersBelow is the view of hs a block at height sees: every header
+// strictly below it.
+type headersBelow struct {
+	hs     HeaderSource
+	height uint64
+}
+
+func (h headersBelow) Header(height uint64) (blockmodel.Header, bool) {
+	if height >= h.height {
+		return blockmodel.Header{}, false
+	}
+	return h.hs.Header(height)
+}
+
+func (h headersBelow) TipHeight() (uint64, bool) {
+	tip, ok := h.hs.TipHeight()
+	if !ok || h.height == 0 {
+		return 0, false
+	}
+	return min(tip, h.height-1), true
 }
 
 // chargePool distributes the fan-out phase's wall-clock duration

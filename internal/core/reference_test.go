@@ -168,6 +168,72 @@ func (r *refValidator) connect(b *blockmodel.EBVBlock) error {
 	return nil
 }
 
+// refValidateTx is the reference verdict on a standalone transaction
+// (mempool admission) against r's chain state: the same per-input
+// checks in the same order — duplicate spend, EV, UV, SV, maturity at
+// the next height — then value conservation, one input at a time,
+// committing nothing. Production's ValidateTx and ValidateTxsBatch (at
+// every worker count, cached or not) must reach exactly its verdicts.
+func refValidateTx(r *refValidator, tx *txmodel.EBVTx) error {
+	if tx.Tidy.IsCoinbase() {
+		return ErrStandaloneCoinbase
+	}
+	if err := tx.Consistent(); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadProof, err)
+	}
+	next := uint64(0)
+	if tip, ok := r.headers.TipHeight(); ok {
+		next = tip + 1
+	}
+	sigHash := tx.SigHash()
+	seen := make(map[statusdb.Spend]struct{})
+	var inSum uint64
+	for bi := range tx.Bodies {
+		body := &tx.Bodies[bi]
+		sp := statusdb.Spend{Height: body.Height, Pos: body.AbsPosition()}
+		if _, dup := seen[sp]; dup {
+			return fmt.Errorf("%w: input %d", ErrDuplicateSpend, bi)
+		}
+		seen[sp] = struct{}{}
+
+		hdr, ok := r.headers.Header(body.Height)
+		if !ok {
+			return fmt.Errorf("input %d: %w: no header at height %d", bi, ErrMissingOutput, body.Height)
+		}
+		if !merkle.Verify(body.PrevTx.LeafHash(), body.Branch, hdr.MerkleRoot) {
+			return fmt.Errorf("input %d: %w: merkle branch does not reach root at height %d", bi, ErrMissingOutput, body.Height)
+		}
+		out, ok := body.SpentOutput()
+		if !ok {
+			return fmt.Errorf("input %d: %w: relative index %d out of range", bi, ErrBadProof, body.RelIndex)
+		}
+
+		unspent, err := r.status.IsUnspent(sp.Height, sp.Pos)
+		if err != nil {
+			return fmt.Errorf("input %d: %w: %v", bi, ErrBadProof, err)
+		}
+		if !unspent {
+			return fmt.Errorf("input %d: %w: height %d position %d", bi, ErrSpentOutput, sp.Height, sp.Pos)
+		}
+
+		if err := r.engine.Execute(body.UnlockScript, out.LockScript, sigHash); err != nil {
+			return fmt.Errorf("input %d: %w: %v", bi, ErrScriptFailed, err)
+		}
+		if body.PrevTx.IsCoinbase() && next-body.Height < txmodel.CoinbaseMaturity {
+			return fmt.Errorf("%w: input %d", ErrImmature, bi)
+		}
+		inSum += out.Value
+	}
+	outSum, ok := tx.OutputSum()
+	if !ok {
+		return fmt.Errorf("%w: outputs", ErrOverflow)
+	}
+	if outSum > inSum {
+		return fmt.Errorf("%w: spends %d, creates %d", ErrValueImbalance, inSum, outSum)
+	}
+	return nil
+}
+
 // saveBytes serializes a status database for byte-level comparison.
 func saveBytes(t testing.TB, d *statusdb.DB) []byte {
 	t.Helper()

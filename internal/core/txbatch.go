@@ -2,62 +2,41 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ebv/internal/ingest"
 	"ebv/internal/statusdb"
 	"ebv/internal/txmodel"
 )
 
-// This file implements cross-transaction batched admission validation
-// (ValidateTxsBatch), the verification core of the admission service
-// (internal/admission). Where the parallel block pipeline batches work
-// across the inputs of one block, this batches across independently
-// submitted transactions: the proof-carried work — consistency
-// binding, sighash, per-input EV Merkle folds, and SV script
-// execution — runs concurrently, one worker task per transaction, and
-// the Unspent Validation for every input of every transaction collapses
-// into a single shard-grouped status-database probe. A sequential merge
-// then replays ValidateTx's exact scan order per transaction, so each
-// slot of the returned error slice is what a standalone ValidateTx call
-// would have reported — same sentinel, same message — which is the
-// equivalence the admission pipeline's accept/reject gate rests on.
-
-// inputPrecheck is the worker-side result for one input of one
-// transaction. Errors are split by where they land relative to the
-// input's UV probe in the sequential scan: preErr fires before UV is
-// consulted (duplicate in-tx spend, EV failure), postErr only after UV
-// passes (SV failure, immaturity). Both carry ValidateTx's final
-// formatting.
-type inputPrecheck struct {
-	preErr  error
-	postErr error
-	value   uint64 // spent output's value, when EV extracted one
-}
-
-// txPrecheck is the worker-side result for one transaction.
-type txPrecheck struct {
-	err    error // terminal pre-scan error: standalone coinbase, inconsistency
-	inputs []inputPrecheck
-}
+// This file implements transaction admission: ValidateTxsBatch, the
+// verification core of the admission service (internal/admission),
+// and ValidateTx, a batch of one. It runs block connect's stages on
+// independently submitted transactions: verifyTx on up to workers
+// goroutines, one task per transaction; one shard-grouped status-
+// database probe for the Unspent Validation of every input of every
+// transaction; then an ordered reduce per transaction that does not
+// commit.
 
 // ValidateTxsBatch checks len(txs) standalone transactions against the
 // current chain state on up to workers goroutines, with all Unspent
 // Validation probes batched into one status-database round trip.
-// errs[i] is exactly what ValidateTx(txs[i]) would return — the
-// admission pipeline and sequential mempool admission yield identical
-// verdicts — except that every transaction gets a verdict (no
-// cross-transaction early exit). Nothing may mutate the status
-// database between the probe and the caller consuming the verdicts;
-// the admission service holds that by construction (verdicts are
-// committed to the pool before the next block connect revalidates).
+// errs[i] is txs[i]'s verdict, independent of the batch it rode in and
+// of the worker count: the first failure in the order standalone
+// coinbase, proof consistency, then per input duplicate spend, EV, UV,
+// SV and coinbase maturity at the next height, then value
+// conservation. Every transaction gets a verdict (no cross-transaction
+// early exit). Nothing may mutate the status database between the
+// probe and the caller consuming the verdicts; the admission service
+// holds that by construction (verdicts are committed to the pool
+// before the next block connect revalidates).
 //
-// Like ValidateInput, a fully verified input's cache key is inserted
-// into the verified-proof cache. The batch path may additionally
-// insert keys for inputs whose UV verdict comes back negative — the
-// worker phase runs EV+SV before UV verdicts exist. That is sound (a
-// cache entry asserts exactly EV+SV, never unspentness: UV always runs
-// live) and verdict-neutral (a hit and a miss report the same error
-// when EV and SV pass), so equivalence with the sequential path holds.
+// A cache miss whose EV and SV pass inserts its key into the
+// verified-proof cache, even when the input's UV verdict, which the
+// workers run ahead of, comes back negative. That is sound (a cache
+// entry asserts exactly EV+SV, never unspentness: UV always runs live)
+// and verdict-neutral (a hit and a miss report the same error when EV
+// and SV pass).
 //
 // s, when non-nil, supplies the spend and probe-result buffers; it
 // must not serve another batch or block concurrently.
@@ -68,180 +47,112 @@ func (v *EBVValidator) ValidateTxsBatch(txs []*txmodel.EBVTx, workers int, s *in
 	}
 
 	// Maturity is judged at the earliest height the batch could be
-	// mined, exactly as ValidateTx does per call; within one batch no
-	// block connects, so one read serves all.
+	// mined; within one batch no block connects, so one read serves
+	// all.
 	nextHeight := uint64(0)
 	if tip, ok := v.headers.TipHeight(); ok {
 		nextHeight = tip + 1
 	}
 
-	// Phase A: per-transaction proof verification, parallel across
-	// transactions. The callback always returns true: unlike block
+	// The verify stage. The callback always returns true: unlike block
 	// validation, one bad transaction must not cancel verdicts for the
-	// rest — every submitter gets an answer. Per-input result storage
-	// is carved from one flat allocation; the disjoint subslices keep
-	// the workers race-free.
-	pres := make([]txPrecheck, len(txs))
-	inputs := 0
-	for _, tx := range txs {
-		inputs += len(tx.Bodies)
-	}
-	flat := make([]inputPrecheck, inputs)
-	off := 0
-	for i, tx := range txs {
-		pres[i].inputs = flat[off : off+len(tx.Bodies)]
-		off += len(tx.Bodies)
-	}
+	// rest — every submitter gets an answer.
+	pv := preverifiedPool.Get().(*Preverified)
+	pv.reset(txs)
 	runWorkers(workers, len(txs), func(i int) bool {
-		v.precheckTx(txs[i], &pres[i], nextHeight)
+		v.verifyTx(txs[i], &pv.verdicts[i], true)
 		return true
 	})
 
-	// Phase B: one batched UV probe over every input of every
-	// transaction that reached its input scan, in scan order.
-	total := 0
-	for i := range pres {
-		if pres[i].err == nil {
-			total += len(txs[i].Bodies)
-		}
-	}
-	spends := scratchSpends(s, total)
+	// One batched UV probe over every input of every transaction that
+	// reached its input scan, in submission order.
+	spends := scratchSpends(s, pv.bd.Inputs)
 	for i, tx := range txs {
-		if pres[i].err != nil {
-			continue
-		}
-		for bi := range tx.Bodies {
-			body := &tx.Bodies[bi]
-			spends = append(spends, statusdb.Spend{Height: body.Height, Pos: body.AbsPosition()})
+		if pv.verdicts[i].scanned() {
+			for bi := range tx.Bodies {
+				body := &tx.Bodies[bi]
+				spends = append(spends, statusdb.Spend{Height: body.Height, Pos: body.AbsPosition()})
+			}
 		}
 	}
-	var res []statusdb.ProbeResult
-	if s != nil {
-		res = v.status.IsUnspentBatchInto(spends, s.Probes(len(spends)))
-	} else {
-		res = v.status.IsUnspentBatch(spends)
-	}
-	uv := uvProbes{spends: spends, res: res}
+	uv := v.probeUV(spends, &pv.bd, s)
 
-	// Phase C: sequential merge replaying ValidateTx's per-input order —
-	// duplicate spend, EV, UV, SV, maturity — stopping each transaction
-	// at its first failure, then value conservation.
 	idx := 0
 	for i, tx := range txs {
-		pre := &pres[i]
-		if pre.err != nil {
-			errs[i] = pre.err
-			continue
-		}
-		var inSum uint64
-		var failed error
-		for bi := range tx.Bodies {
-			in := &pre.inputs[bi]
-			if in.preErr != nil {
-				failed = in.preErr
-				break
-			}
-			if err := uv.check(idx + bi); err != nil {
-				failed = fmt.Errorf("input %d: %w", bi, err)
-				break
-			}
-			if in.postErr != nil {
-				failed = in.postErr
-				break
-			}
-			inSum += in.value
-		}
-		idx += len(tx.Bodies)
-		if failed != nil {
-			errs[i] = failed
-			continue
-		}
-		outSum, ok := tx.OutputSum()
-		if !ok {
-			errs[i] = fmt.Errorf("%w: outputs", ErrOverflow)
-			continue
-		}
-		if outSum > inSum {
-			errs[i] = fmt.Errorf("%w: spends %d, creates %d", ErrValueImbalance, inSum, outSum)
+		tv := &pv.verdicts[i]
+		errs[i] = reduceTx(tx, tv, &uv, idx, nextHeight)
+		if tv.scanned() {
+			idx += len(tx.Bodies)
 		}
 	}
+	pv.release()
 	return errs
 }
 
-// precheckTx runs one transaction's UV-independent checks, recording
-// per-input verdicts for the merge. It stops at the first failing
-// input — the sequential scan never looks past it.
-func (v *EBVValidator) precheckTx(tx *txmodel.EBVTx, pre *txPrecheck, nextHeight uint64) {
-	if tx.Tidy.IsCoinbase() {
-		pre.err = ErrStandaloneCoinbase
-		return
+// ValidateTx checks one standalone EBV transaction against the current
+// chain state (mempool admission): a batch of one, on the calling
+// goroutine. It does not mutate the status database.
+func (v *EBVValidator) ValidateTx(tx *txmodel.EBVTx) error {
+	return v.ValidateTxsBatch([]*txmodel.EBVTx{tx}, 1, nil)[0]
+}
+
+// scanned reports whether verifyTx reached tv's input scan: the
+// transaction is no coinbase and its proofs bind to it.
+func (tv *txVerdict) scanned() bool { return !tv.coinbase && tv.consErr == nil }
+
+// reduceTx is the ordered reduce for one admitted transaction, in
+// ValidateTxsBatch's check order. uv holds the transaction's UV
+// verdicts from index idx on; next is the height maturity is judged
+// at.
+func reduceTx(tx *txmodel.EBVTx, tv *txVerdict, uv *uvProbes, idx int, next uint64) error {
+	if tv.coinbase {
+		return ErrStandaloneCoinbase
 	}
-	if err := tx.Consistent(); err != nil {
-		pre.err = fmt.Errorf("%w: %v", ErrBadProof, err)
-		return
-	}
-	sigHash := tx.SigHash()
-	if pre.inputs == nil {
-		pre.inputs = make([]inputPrecheck, len(tx.Bodies))
+	if tv.consErr != nil {
+		return fmt.Errorf("%w: %v", ErrBadProof, tv.consErr)
 	}
 	// Duplicate-spend detection: a linear scan over the spends already
-	// claimed beats a map for the small input counts of real
-	// submissions, and the batch caller's flat buffer keeps it
-	// allocation-free.
-	var claimedArr [8]statusdb.Spend
-	claimed := claimedArr[:0]
+	// claimed beats a map for the few inputs of real submissions; above
+	// eight, a map keeps MaxTxInputs inputs sub-quadratic.
+	spends := uv.spends[idx : idx+len(tx.Bodies)]
 	var seen map[statusdb.Spend]struct{}
-	if len(tx.Bodies) > 8 {
-		seen = make(map[statusdb.Spend]struct{}, len(tx.Bodies))
+	if len(spends) > 8 {
+		seen = make(map[statusdb.Spend]struct{}, len(spends))
 	}
-	var bd Breakdown // cache-probe timing sink, discarded
-	for bi := range tx.Bodies {
-		body := &tx.Bodies[bi]
-		in := &pre.inputs[bi]
-		sp := statusdb.Spend{Height: body.Height, Pos: body.AbsPosition()}
+	var inSum uint64
+	for bi, sp := range spends {
 		dup := false
 		if seen != nil {
 			_, dup = seen[sp]
 			seen[sp] = struct{}{}
 		} else {
-			for _, c := range claimed {
-				if c == sp {
-					dup = true
-					break
-				}
-			}
-			claimed = append(claimed, sp)
+			dup = slices.Contains(spends[:bi], sp)
 		}
 		if dup {
-			in.preErr = fmt.Errorf("%w: input %d", ErrDuplicateSpend, bi)
-			return
+			return fmt.Errorf("%w: input %d", ErrDuplicateSpend, bi)
 		}
-
-		key, keyOK := v.cacheKey(body, sigHash)
-		var out *txmodel.TxOut
-		hit := false
-		if keyOK {
-			out, hit = v.cacheProbe(key, body, &bd)
+		iv := &tv.inputs[bi]
+		if iv.evErr != nil {
+			return fmt.Errorf("input %d: %w", bi, iv.evErr)
 		}
-		if !hit {
-			var err error
-			out, err = v.evInput(body)
-			if err != nil {
-				in.preErr = fmt.Errorf("input %d: %w", bi, err)
-				return
-			}
-			if err := v.engine.Execute(body.UnlockScript, out.LockScript, sigHash); err != nil {
-				in.postErr = fmt.Errorf("input %d: %w: %v", bi, ErrScriptFailed, err)
-				return
-			}
-			if keyOK {
-				v.vcache.Add(key)
-			}
+		if err := uv.check(idx + bi); err != nil {
+			return fmt.Errorf("input %d: %w", bi, err)
 		}
-		if body.PrevTx.IsCoinbase() && nextHeight-body.Height < txmodel.CoinbaseMaturity {
-			in.postErr = fmt.Errorf("%w: input %d", ErrImmature, bi)
-			return
+		if iv.svErr != nil {
+			return fmt.Errorf("input %d: %w: %v", bi, ErrScriptFailed, iv.svErr)
 		}
-		in.value = out.Value
+		body := &tx.Bodies[bi]
+		if body.PrevTx.IsCoinbase() && next-body.Height < txmodel.CoinbaseMaturity {
+			return fmt.Errorf("%w: input %d", ErrImmature, bi)
+		}
+		inSum += iv.out.Value
 	}
+	outSum, ok := tx.OutputSum()
+	if !ok {
+		return fmt.Errorf("%w: outputs", ErrOverflow)
+	}
+	if outSum > inSum {
+		return fmt.Errorf("%w: spends %d, creates %d", ErrValueImbalance, inSum, outSum)
+	}
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"ebv/internal/blockmodel"
 	"ebv/internal/chainstore"
+	"ebv/internal/ingest"
 	"ebv/internal/script"
 	"ebv/internal/statusdb"
 	"ebv/internal/txmodel"
@@ -62,79 +63,6 @@ func spendingTx(blk *blockmodel.EBVBlock) *txmodel.EBVTx {
 		}
 	}
 	return nil
-}
-
-// TestValidateInputCacheStats pins the cache contract at the
-// ValidateInput level: a first (successful) validation misses and
-// inserts, a repeat hits, a byte-level proof difference or a height
-// difference misses and is rejected with exactly the uncached
-// validator's error, and failed validations never insert.
-func TestValidateInputCacheStats(t *testing.T) {
-	f := newFixture(t, 150)
-	cachedV, _ := syncedEBV(t, f, WithVerificationCache(vcache.New(0)))
-	plainV, _ := syncedEBV(t, f)
-
-	blk := reencode(t, f.lastEBV)
-	tx := spendingTx(blk)
-	if tx == nil {
-		t.Skip("no usable spends in last block")
-	}
-	sigHash := tx.SigHash()
-	body := &tx.Bodies[0]
-
-	base := cachedV.Cache().Len()
-	var bd Breakdown
-	if err := cachedV.ValidateInput(body, sigHash, &bd); err != nil {
-		t.Fatalf("first validation: %v", err)
-	}
-	if bd.CacheHits != 0 || bd.CacheMisses != 1 {
-		t.Fatalf("first validation must miss: %+v", bd)
-	}
-	if cachedV.Cache().Len() != base+1 {
-		t.Fatalf("successful validation must insert: len %d, want %d", cachedV.Cache().Len(), base+1)
-	}
-	if err := cachedV.ValidateInput(body, sigHash, &bd); err != nil {
-		t.Fatalf("repeat validation: %v", err)
-	}
-	if bd.CacheHits != 1 || bd.CacheMisses != 1 {
-		t.Fatalf("repeat validation must hit: %+v", bd)
-	}
-
-	// Byte-level proof difference: a flipped unlock-script byte derives
-	// a different key, misses, and fails SV with the uncached error.
-	bad := *body
-	bad.UnlockScript = append([]byte(nil), body.UnlockScript...)
-	bad.UnlockScript[5] ^= 1
-	bad.Invalidate() // in-place mutation after hashing
-	var bdBad Breakdown
-	errCached := cachedV.ValidateInput(&bad, sigHash, &bdBad)
-	errPlain := plainV.ValidateInput(&bad, sigHash, &Breakdown{})
-	if errCached == nil || errPlain == nil {
-		t.Fatalf("tampered unlock script must fail: cached=%v plain=%v", errCached, errPlain)
-	}
-	if errCached.Error() != errPlain.Error() {
-		t.Fatalf("error divergence:\n  cached: %v\n  plain:  %v", errCached, errPlain)
-	}
-	if bdBad.CacheHits != 0 || bdBad.CacheMisses != 1 {
-		t.Fatalf("tampered input must miss: %+v", bdBad)
-	}
-	if cachedV.Cache().Len() != base+1 {
-		t.Fatal("failed validation must not insert")
-	}
-
-	// Height difference: different key (or no stored header), miss, and
-	// the identical EV failure.
-	bad2 := *body
-	bad2.Height++
-	bad2.Invalidate()
-	errCached2 := cachedV.ValidateInput(&bad2, sigHash, &Breakdown{})
-	errPlain2 := plainV.ValidateInput(&bad2, sigHash, &Breakdown{})
-	if errCached2 == nil || errPlain2 == nil {
-		t.Fatalf("wrong height must fail: cached=%v plain=%v", errCached2, errPlain2)
-	}
-	if errCached2.Error() != errPlain2.Error() {
-		t.Fatalf("error divergence:\n  cached: %v\n  plain:  %v", errCached2, errPlain2)
-	}
 }
 
 // TestConnectNeverInsertsIntoCache pins the cache's write rule:
@@ -234,96 +162,93 @@ func TestCachePoisoningRejectedIdentically(t *testing.T) {
 }
 
 // TestCacheMemoEquivalenceMatrix extends the equivalence suite across
-// the 2x2 matrix of hash memoization {on, off} x cache state {cold,
-// mempool-warmed}: the cached validator at one worker and at four must
-// accept/reject exactly the blocks the reference model does, with
-// identical error text and identical honest-block state, in every
-// cell.
+// cache states {cold, mempool-warmed}, with the memoized digests every
+// decoded transaction carries: the cached validator at one worker and
+// at four must accept/reject exactly the blocks the reference model
+// does, with identical error text and identical honest-block state, in
+// every cell.
 func TestCacheMemoEquivalenceMatrix(t *testing.T) {
 	f := newFixture(t, 150)
-	defer txmodel.SetHashMemoization(true)
-	for _, memoOn := range []bool{true, false} {
-		for _, warm := range []bool{false, true} {
-			t.Run(fmt.Sprintf("memo=%v/warm=%v", memoOn, warm), func(t *testing.T) {
-				txmodel.SetHashMemoization(memoOn)
-				ref := refFixture(t, f)
-				seqC, seqStatus := syncedEBV(t, f, WithVerificationCache(vcache.New(0)))
-				parC, parStatus := syncedEBV(t, f,
-					WithParallelValidation(4), WithVerificationCache(vcache.New(0)))
-				if warm {
-					warmFromMempool(t, seqC, f.lastEBV)
-					warmFromMempool(t, parC, f.lastEBV)
-				}
+	for _, warm := range []bool{false, true} {
+		t.Run(fmt.Sprintf("memo=true/warm=%v", warm), func(t *testing.T) {
+			ref := refFixture(t, f)
+			seqC, seqStatus := syncedEBV(t, f, WithVerificationCache(vcache.New(0)))
+			parC, parStatus := syncedEBV(t, f,
+				WithParallelValidation(4), WithVerificationCache(vcache.New(0)))
+			if warm {
+				warmFromMempool(t, seqC, f.lastEBV)
+				warmFromMempool(t, parC, f.lastEBV)
+			}
 
-				for _, c := range adversarialCases() {
-					blk := c.make(t, f)
-					if blk == nil {
-						continue
-					}
-					errRef := ref.connect(blk)
-					_, errSeq := seqC.ConnectBlock(blk)
-					_, errPar := parC.ConnectBlock(blk)
-					if errRef == nil {
-						t.Fatalf("case %s: reference accepted the block", c.name)
-					}
-					sameVerdict(t, "workers=1 case "+c.name, errRef, errSeq)
-					sameVerdict(t, "workers=4 case "+c.name, errRef, errPar)
+			for _, c := range adversarialCases() {
+				blk := c.make(t, f)
+				if blk == nil {
+					continue
 				}
+				errRef := ref.connect(blk)
+				_, errSeq := seqC.ConnectBlock(blk)
+				_, errPar := parC.ConnectBlock(blk)
+				if errRef == nil {
+					t.Fatalf("case %s: reference accepted the block", c.name)
+				}
+				sameVerdict(t, "workers=1 case "+c.name, errRef, errSeq)
+				sameVerdict(t, "workers=4 case "+c.name, errRef, errPar)
+			}
 
-				if err := ref.connect(f.lastEBV); err != nil {
-					t.Fatalf("reference honest block: %v", err)
+			if err := ref.connect(f.lastEBV); err != nil {
+				t.Fatalf("reference honest block: %v", err)
+			}
+			bdSeq, err := seqC.ConnectBlock(f.lastEBV)
+			if err != nil {
+				t.Fatalf("cached workers=1 honest block: %v", err)
+			}
+			bdPar, err := parC.ConnectBlock(f.lastEBV)
+			if err != nil {
+				t.Fatalf("cached workers=4 honest block: %v", err)
+			}
+			for name, bd := range map[string]*Breakdown{"workers=1": bdSeq, "workers=4": bdPar} {
+				// Every input is probed exactly once; warmed runs hit on
+				// all of them.
+				if bd.CacheHits+bd.CacheMisses != bd.Inputs {
+					t.Fatalf("%s: probes %d+%d != inputs %d", name, bd.CacheHits, bd.CacheMisses, bd.Inputs)
 				}
-				bdSeq, err := seqC.ConnectBlock(f.lastEBV)
-				if err != nil {
-					t.Fatalf("cached workers=1 honest block: %v", err)
+				if warm && (bd.CacheHits != bd.Inputs || bd.CacheMisses != 0) {
+					t.Fatalf("%s: warmed block must hit on every input: %+v", name, bd)
 				}
-				bdPar, err := parC.ConnectBlock(f.lastEBV)
-				if err != nil {
-					t.Fatalf("cached workers=4 honest block: %v", err)
-				}
-				for name, bd := range map[string]*Breakdown{"workers=1": bdSeq, "workers=4": bdPar} {
-					// Every input is probed exactly once; warmed runs hit on
-					// all of them.
-					if bd.CacheHits+bd.CacheMisses != bd.Inputs {
-						t.Fatalf("%s: probes %d+%d != inputs %d", name, bd.CacheHits, bd.CacheMisses, bd.Inputs)
-					}
-					if warm && (bd.CacheHits != bd.Inputs || bd.CacheMisses != 0) {
-						t.Fatalf("%s: warmed block must hit on every input: %+v", name, bd)
-					}
-				}
-				if bdSeq.Inputs != f.lastEBV.TotalInputs() || bdPar.Inputs != f.lastEBV.TotalInputs() {
-					t.Fatalf("input counts differ: %d/%d, want %d", bdSeq.Inputs, bdPar.Inputs, f.lastEBV.TotalInputs())
-				}
-				sameState(t, "workers=1", ref.status, seqStatus)
-				sameState(t, "workers=4", ref.status, parStatus)
-			})
-		}
+			}
+			if bdSeq.Inputs != f.lastEBV.TotalInputs() || bdPar.Inputs != f.lastEBV.TotalInputs() {
+				t.Fatalf("input counts differ: %d/%d, want %d", bdSeq.Inputs, bdPar.Inputs, f.lastEBV.TotalInputs())
+			}
+			sameState(t, "workers=1", ref.status, seqStatus)
+			sameState(t, "workers=4", ref.status, parStatus)
+		})
 	}
 }
 
-// BenchmarkEBVValidateInput measures one input's full validation
-// (EV+UV+SV) in the configurations the tentpole targets: uncached with
-// memoization, warm verified-proof cache (the relay steady state,
-// expected ~0 allocs/op), and memoization disabled.
-func BenchmarkEBVValidateInput(b *testing.B) {
+// BenchmarkEBVValidateTxsBatch measures batch admission of the last
+// block's transactions (EV+UV+SV for every input, one batched probe,
+// one worker, a reused scratch), uncached and against a warm
+// verified-proof cache (the relay steady state), in time per input.
+func BenchmarkEBVValidateTxsBatch(b *testing.B) {
 	f := newFixture(b, 120)
 	blk := reencode(b, f.lastEBV)
-	tx := spendingTx(blk)
-	if tx == nil {
-		b.Skip("no usable spends in last block")
+	txs := blk.Txs[1:]
+	inputs := blk.TotalInputs()
+	if inputs == 0 {
+		b.Skip("no spends in last block")
 	}
-	sigHash := tx.SigHash()
-	body := &tx.Bodies[0]
-
 	run := func(b *testing.B, v *EBVValidator) {
-		var bd Breakdown
+		s := ingest.NewScratch()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := v.ValidateInput(body, sigHash, &bd); err != nil {
-				b.Fatal(err)
+			for _, err := range v.ValidateTxsBatch(txs, 1, s) {
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*inputs), "ns/input")
 	}
 	b.Run("uncached", func(b *testing.B) {
 		v, _ := syncedEBV(b, f)
@@ -331,24 +256,15 @@ func BenchmarkEBVValidateInput(b *testing.B) {
 	})
 	b.Run("warm-cache", func(b *testing.B) {
 		v, _ := syncedEBV(b, f, WithVerificationCache(vcache.New(0)))
-		var bd Breakdown
-		if err := v.ValidateInput(body, sigHash, &bd); err != nil {
-			b.Fatal(err)
-		}
-		run(b, v)
-	})
-	b.Run("memo-off", func(b *testing.B) {
-		defer txmodel.SetHashMemoization(true)
-		txmodel.SetHashMemoization(false)
-		v, _ := syncedEBV(b, f)
+		warmFromMempool(b, v, f.lastEBV)
 		run(b, v)
 	})
 }
 
 // BenchmarkEBVDecodeValidateBlock measures the full decode→validate
 // path for one block (wire bytes through ValidateTx for every
-// transaction), cold vs warm cache vs memoization off, reporting
-// allocations and per-input time.
+// transaction), cold vs warm cache, reporting allocations and
+// per-input time.
 func BenchmarkEBVDecodeValidateBlock(b *testing.B) {
 	f := newFixture(b, 120)
 	raw := f.lastEBV.Encode(nil)
@@ -383,12 +299,6 @@ func BenchmarkEBVDecodeValidateBlock(b *testing.B) {
 	b.Run("warm-cache", func(b *testing.B) {
 		v, _ := syncedEBV(b, f, WithVerificationCache(vcache.New(0)))
 		warmFromMempool(b, v, f.lastEBV)
-		run(b, v)
-	})
-	b.Run("memo-off", func(b *testing.B) {
-		defer txmodel.SetHashMemoization(true)
-		txmodel.SetHashMemoization(false)
-		v, _ := syncedEBV(b, f)
 		run(b, v)
 	})
 }

@@ -10,17 +10,25 @@ import (
 	"ebv/internal/ingest"
 	"ebv/internal/script"
 	"ebv/internal/statusdb"
+	"ebv/internal/txmodel"
 	"ebv/internal/vcache"
 )
 
-// TestWarmCacheValidateInputZeroAllocs pins the allocation contract of
-// the validation hot path: once an input's proof is in the
-// verified-proof cache, re-validating it (probe + live UV) allocates
-// nothing — the cache key is derived from memoized hashes into stack
-// buffers, the LRU probe is allocation-free, and the bit-vector read
-// holds no garbage. Excluded from -race builds, whose instrumentation
-// skews allocation accounting.
-func TestWarmCacheValidateInputZeroAllocs(t *testing.T) {
+// warmAdmissionAllocs is the allocation budget of one warm admission
+// batch: the verdict slice, the verify stage's task closure, and the
+// status database's per-probe shard closure.
+const warmAdmissionAllocs = 3
+
+// TestWarmAdmissionAllocBudget pins the allocation contract of batch
+// admission: once every input's proof is in the verified-proof cache
+// and the scratch and the pooled verdict storage are at steady state,
+// a ValidateTxsBatch allocates a constant number of objects per batch,
+// however many transactions and inputs it carries — the cache key is
+// derived from memoized hashes into stack buffers, the LRU probe is
+// allocation-free, and the batched UV probe reuses the scratch.
+// Excluded from -race builds, whose instrumentation skews allocation
+// accounting.
+func TestWarmAdmissionAllocBudget(t *testing.T) {
 	f := newFixture(t, 120)
 	v, _ := syncedEBV(t, f, WithVerificationCache(vcache.New(0)))
 	blk := reencode(t, f.lastEBV)
@@ -28,23 +36,31 @@ func TestWarmCacheValidateInputZeroAllocs(t *testing.T) {
 	if tx == nil {
 		t.Skip("no usable spends in last block")
 	}
-	sigHash := tx.SigHash()
-	body := &tx.Bodies[0]
-	var bd Breakdown
-	if err := v.ValidateInput(body, sigHash, &bd); err != nil {
-		t.Fatal(err)
-	}
-
-	if avg := testing.AllocsPerRun(200, func() {
-		if err := v.ValidateInput(body, sigHash, &bd); err != nil {
-			t.Fatal(err)
+	warmFromMempool(t, v, f.lastEBV)
+	s := ingest.NewScratch()
+	perBatch := func(txs []*txmodel.EBVTx) float64 {
+		check := func() {
+			for _, err := range v.ValidateTxsBatch(txs, 1, s) {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
-	}); avg != 0 {
-		t.Errorf("warm-cache ValidateInput allocates %.1f objects/input, want 0", avg)
+		check() // size the scratch and the pooled verdicts
+		return testing.AllocsPerRun(200, check)
+	}
+	whole := perBatch(blk.Txs[1:])
+	one := perBatch([]*txmodel.EBVTx{tx})
+	t.Logf("warm admission: %.0f allocs for a %d-input batch, %.0f for a %d-input batch",
+		whole, blk.TotalInputs(), one, len(tx.Bodies))
+	if whole != one || whole > warmAdmissionAllocs {
+		t.Errorf("warm admission allocates %.0f objects for %d inputs and %.0f for %d, want a constant <= %d",
+			whole, blk.TotalInputs(), one, len(tx.Bodies), warmAdmissionAllocs)
 	}
 
-	// The uncached EV step is allocation-free too: the tidy leaf hash is
+	// The uncached EV step is allocation-free: the tidy leaf hash is
 	// memoized and the Merkle fold runs in a stack scratch buffer.
+	body := &tx.Bodies[0]
 	if avg := testing.AllocsPerRun(200, func() {
 		if _, err := v.evInput(body); err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package light_test
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"ebv/internal/blockmodel"
@@ -19,7 +20,13 @@ import (
 // buildChain renders a deterministic EBV chain of the given length.
 func buildChain(t testing.TB, blocks int) *chainstore.Store {
 	t.Helper()
-	g := workload.NewGenerator(workload.TestParams(blocks))
+	return buildChainWith(t, workload.NewGenerator(workload.TestParams(blocks)))
+}
+
+// buildChainWith renders g's whole EBV chain; g keeps the key material
+// to sign spends of it.
+func buildChainWith(t testing.TB, g *workload.Generator) *chainstore.Store {
+	t.Helper()
 	im, err := proof.NewIntermediary(t.TempDir(), g.Resign)
 	if err != nil {
 		t.Fatal(err)
@@ -218,5 +225,78 @@ func TestVerifyBlock(t *testing.T) {
 	tampered[len(tampered)-1] ^= 0x01
 	if _, err := light.VerifyBlock(hc, tampered, eng); err == nil {
 		t.Fatal("tampered block verified")
+	}
+}
+
+// TestVerifyBlockRejectsSpendOfLaterOutput pins that a proof may only
+// name a block below the one spending it. Block 110 is forged to spend
+// block 111's coinbase — a genuine proof with a genuine signature —
+// and 111 is re-assembled on top of it (its Merkle root is unchanged),
+// so the header chain holds both. Against the client's whole header
+// chain the proof would resolve, and the maturity check would wrap
+// around; against the headers below 110 it names no header.
+func TestVerifyBlockRejectsSpendOfLaterOutput(t *testing.T) {
+	g := workload.NewGenerator(workload.TestParams(120))
+	store := buildChainWith(t, g)
+	decode := func(h uint64) *blockmodel.EBVBlock {
+		raw, err := store.BlockBytes(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := blockmodel.DecodeEBVBlock(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	b110, b111 := decode(110), decode(111)
+
+	// The forged block keeps 110's coinbase, whose claim counts 110's
+	// original fees, so the spend pays exactly those fees.
+	claim, _ := b110.Txs[0].OutputSum()
+	fees := claim - blockmodel.Subsidy(110)
+	body, err := proof.NewBuilder(store, 0).Prove(proof.Loc{Height: 111, TxIndex: 0}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := body.PrevTx.Outputs[0]
+	if out.Value <= fees {
+		t.Skipf("coinbase output %d cannot cover fees %d", out.Value, fees)
+	}
+	spend := &txmodel.EBVTx{
+		Tidy:   txmodel.TidyTx{Version: 1, Outputs: []txmodel.TxOut{{Value: out.Value - fees, LockScript: out.LockScript}}},
+		Bodies: []txmodel.InputBody{body},
+	}
+	unlock, err := g.Resign(111, 0, 0, spend.SigHash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spend.Bodies[0].UnlockScript = unlock
+	spend.SealInputHashes()
+
+	forged, err := blockmodel.AssembleEBV(b110.Header.PrevBlock, 110, b110.Header.TimeStamp,
+		[]*txmodel.EBVTx{b110.Txs[0], spend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged.Header.Bits = b110.Header.Bits
+	forged.Header.Mine()
+	next := b111.Header
+	next.PrevBlock = forged.Header.Hash()
+	next.Mine()
+
+	hc := light.NewHeaderChain()
+	run := make([]blockmodel.Header, 0, 112)
+	for h := uint64(0); h < 110; h++ {
+		hdr, _ := store.Header(h)
+		run = append(run, hdr)
+	}
+	run = append(run, forged.Header, next)
+	if n, err := hc.Connect(run); err != nil || n != len(run) {
+		t.Fatalf("Connect: applied %d/%d, err %v", n, len(run), err)
+	}
+	_, err = light.VerifyBlock(hc, forged.Encode(nil), script.NewEngine(sig.SimSig{}))
+	if !errors.Is(err, light.ErrBadBlock) || !strings.Contains(err.Error(), "no header at height 111") {
+		t.Fatalf("block spending a later block's output: got %v, want a missing header at 111", err)
 	}
 }

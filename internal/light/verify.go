@@ -5,9 +5,8 @@ import (
 	"fmt"
 
 	"ebv/internal/blockmodel"
-	"ebv/internal/merkle"
+	"ebv/internal/core"
 	"ebv/internal/script"
-	"ebv/internal/txmodel"
 )
 
 // Verification errors.
@@ -18,24 +17,17 @@ var (
 
 // VerifyBlock fully validates a serialized EBV block against the
 // header chain using only carried proofs — the light-client slice of
-// the paper's validation mechanism:
-//
-//   - the block's header must be the chain's stored header at its
-//     height (anchoring the block to the PoW-checked chain),
-//   - structure: coinbase first, output cap, proof of work, stake
-//     positions, and the Merkle root over the tidy leaves,
-//   - per transaction: proof consistency (bodies bind to the committed
-//     input hashes) and the sighash,
-//   - per input: EV — fold the carried Merkle branch from the ELs leaf
-//     to the stored header at the proof's height — plus SV via the
-//     script engine, intra-block duplicate-spend detection, coinbase
-//     maturity, and value conservation,
-//   - coinbase subsidy against total fees.
+// the paper's validation mechanism. The block's header must be the
+// chain's stored header at its height, which anchors the block to the
+// PoW-checked chain; the rest is core.VerifyWithoutUV against the
+// headers below it: structure, proof of work, stake positions, the
+// Merkle root, per-input EV and SV, intra-block duplicate spends,
+// coinbase maturity, value conservation and the subsidy.
 //
 // What is deliberately absent is Unspent Validation: the bit-vector
-// set lives on full nodes only, so a light client cannot see a
-// double spend against history outside this block. Everything else is
-// byte-for-byte the full validator's verdict.
+// set lives on full nodes only, so a light client cannot see a double
+// spend against history outside this block. Everything else is the
+// full validator's verdict, wrapped in ErrBadBlock.
 func VerifyBlock(hc *HeaderChain, raw []byte, eng *script.Engine) (*blockmodel.EBVBlock, error) {
 	b, err := blockmodel.DecodeEBVBlock(raw)
 	if err != nil {
@@ -45,90 +37,8 @@ func VerifyBlock(hc *HeaderChain, raw []byte, eng *script.Engine) (*blockmodel.E
 	if !ok || stored.Hash() != b.Header.Hash() {
 		return nil, ErrUnknownHeader
 	}
-	if len(b.Txs) == 0 || !b.Txs[0].Tidy.IsCoinbase() {
-		return nil, fmt.Errorf("%w: no coinbase", ErrBadBlock)
-	}
-	if b.TotalOutputs() > blockmodel.MaxBlockOutputs {
-		return nil, fmt.Errorf("%w: too many outputs", ErrBadBlock)
-	}
-	if !b.Header.MeetsTarget() {
-		return nil, fmt.Errorf("%w: proof of work", ErrBadBlock)
-	}
-	if err := b.CheckStakePositions(); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadBlock, err)
-	}
-	if merkle.Root(b.TxLeaves()) != b.Header.MerkleRoot {
-		return nil, fmt.Errorf("%w: merkle root mismatch", ErrBadBlock)
-	}
-
-	type spend struct {
-		height uint64
-		pos    uint32
-	}
-	seen := make(map[spend]struct{}, b.TotalInputs())
-	var totalFees uint64
-	for ti, tx := range b.Txs {
-		if ti == 0 {
-			continue
-		}
-		if tx.Tidy.IsCoinbase() {
-			return nil, fmt.Errorf("%w: tx %d is an extra coinbase", ErrBadBlock, ti)
-		}
-		if err := tx.Consistent(); err != nil {
-			return nil, fmt.Errorf("%w: tx %d: %v", ErrBadBlock, ti, err)
-		}
-		sigHash := tx.SigHash()
-		var inSum uint64
-		for bi := range tx.Bodies {
-			body := &tx.Bodies[bi]
-			sp := spend{body.Height, body.AbsPosition()}
-			if _, dup := seen[sp]; dup {
-				return nil, fmt.Errorf("%w: tx %d input %d: duplicate spend", ErrBadBlock, ti, bi)
-			}
-			seen[sp] = struct{}{}
-			// EV against OUR header chain: the proof height must resolve
-			// to a header we PoW-checked ourselves.
-			hdr, ok := hc.Header(body.Height)
-			if !ok {
-				return nil, fmt.Errorf("%w: tx %d input %d: no header at height %d", ErrBadBlock, ti, bi, body.Height)
-			}
-			if !merkle.Verify(body.PrevTx.LeafHash(), body.Branch, hdr.MerkleRoot) {
-				return nil, fmt.Errorf("%w: tx %d input %d: merkle branch does not reach root at height %d", ErrBadBlock, ti, bi, body.Height)
-			}
-			out, ok := body.SpentOutput()
-			if !ok {
-				return nil, fmt.Errorf("%w: tx %d input %d: relative index out of range", ErrBadBlock, ti, bi)
-			}
-			if err := eng.Execute(body.UnlockScript, out.LockScript, sigHash); err != nil {
-				return nil, fmt.Errorf("%w: tx %d input %d: script: %v", ErrBadBlock, ti, bi, err)
-			}
-			if body.PrevTx.IsCoinbase() && b.Header.Height-body.Height < txmodel.CoinbaseMaturity {
-				return nil, fmt.Errorf("%w: tx %d input %d: immature coinbase spend", ErrBadBlock, ti, bi)
-			}
-			if inSum+out.Value < inSum {
-				return nil, fmt.Errorf("%w: tx %d: input overflow", ErrBadBlock, ti)
-			}
-			inSum += out.Value
-		}
-		outSum, ok := tx.OutputSum()
-		if !ok {
-			return nil, fmt.Errorf("%w: tx %d: output overflow", ErrBadBlock, ti)
-		}
-		if outSum > inSum {
-			return nil, fmt.Errorf("%w: tx %d spends %d, creates %d", ErrBadBlock, ti, inSum, outSum)
-		}
-		fee := inSum - outSum
-		if totalFees+fee < totalFees {
-			return nil, fmt.Errorf("%w: fee overflow", ErrBadBlock)
-		}
-		totalFees += fee
-	}
-	cbSum, ok := b.Txs[0].OutputSum()
-	if !ok {
-		return nil, fmt.Errorf("%w: coinbase overflow", ErrBadBlock)
-	}
-	if cbSum > blockmodel.Subsidy(b.Header.Height)+totalFees {
-		return nil, fmt.Errorf("%w: coinbase claims %d, allowed %d", ErrBadBlock, cbSum, blockmodel.Subsidy(b.Header.Height)+totalFees)
+	if err := core.VerifyWithoutUV(b, hc, eng); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadBlock, err)
 	}
 	return b, nil
 }

@@ -499,33 +499,3 @@ func (p *Pool) StaleProofDrops() int {
 	defer p.mu.Unlock()
 	return p.staleDrops
 }
-
-// Revalidate re-runs chain-state validation on every pooled
-// transaction and evicts failures (used after reorg-like state
-// changes). Returns the number evicted.
-func (p *Pool) Revalidate() int {
-	p.mu.Lock()
-	snapshot := make([]*entry, 0, len(p.entries))
-	for _, e := range p.entries {
-		snapshot = append(snapshot, e)
-	}
-	p.mu.Unlock()
-
-	evicted := 0
-	for _, e := range snapshot {
-		if err := p.validator.ValidateTx(e.tx); err != nil {
-			p.mu.Lock()
-			if _, still := p.entries[e.id]; still {
-				p.removeLocked(e)
-				evicted++
-			}
-			p.mu.Unlock()
-		}
-	}
-	if evicted > 0 {
-		p.mu.Lock()
-		p.maybeResetFloorLocked()
-		p.mu.Unlock()
-	}
-	return evicted
-}

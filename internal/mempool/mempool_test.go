@@ -262,27 +262,6 @@ func TestBlockConnectedDropsConflicts(t *testing.T) {
 	}
 }
 
-func TestRevalidateEvictsStale(t *testing.T) {
-	e := newEnv(t, 250)
-	pool := New(e.val, Config{})
-	tx := e.spendCoinbase(t, 0, 3_000)
-	if _, err := pool.Add(tx); err != nil {
-		t.Fatal(err)
-	}
-	// Spend the same output directly on-chain, bypassing the pool.
-	sp := statusdb.Spend{Height: tx.Bodies[0].Height, Pos: tx.Bodies[0].AbsPosition()}
-	tip, _ := e.status.Tip()
-	if err := e.status.Connect(tip+1, 1, []statusdb.Spend{sp}); err != nil {
-		t.Fatal(err)
-	}
-	if evicted := pool.Revalidate(); evicted != 1 {
-		t.Fatalf("evicted %d, want 1", evicted)
-	}
-	if pool.Len() != 0 {
-		t.Fatal("stale tx must be gone")
-	}
-}
-
 func TestTemplateRespectsOutputBudget(t *testing.T) {
 	e := newEnv(t, 250)
 	pool := New(e.val, Config{})

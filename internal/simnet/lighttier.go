@@ -45,9 +45,9 @@ type LightTierConfig struct {
 	// ClientLatency is the client↔server link latency (±20% jitter per
 	// message, like every other link). Default 20ms.
 	ClientLatency time.Duration
-	// LightVerify samples the client's block verification delay (the
-	// EV+SV pass of light.VerifyBlock). Defaults to the Validation
-	// model.
+	// LightVerify samples the client's block verification delay
+	// (light.VerifyBlock: core.VerifyWithoutUV, the full verdict minus
+	// UV). Defaults to the Validation model.
 	LightVerify ValidationModel
 }
 

@@ -77,5 +77,8 @@ func FuzzDecodeEBVTx(f *testing.F) {
 		if zre := zc.Encode(nil); !bytes.Equal(zre, data) {
 			t.Fatalf("zero-copy re-encode differs from input: %x -> %x", data, zre)
 		}
+		// Both decodes hash their actual bytes, memoized or not.
+		checkDigests(t, "copying decode", decoded)
+		checkDigests(t, "zero-copy decode", &zc)
 	})
 }

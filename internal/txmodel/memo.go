@@ -1,10 +1,6 @@
 package txmodel
 
-import (
-	"sync/atomic"
-
-	"ebv/internal/hashx"
-)
+import "ebv/internal/hashx"
 
 // Digest memoization (Tier 2 of the verification cache): LeafHash,
 // InputBody.Hash and SigHash are each deterministic functions of their
@@ -21,21 +17,6 @@ import (
 // hashing it must call its Invalidate method — only builders and tests
 // mutate in place; the wire-decode path never does.
 
-// hashMemoOn gates memoization globally. It exists for the benchmark
-// and equivalence matrices (memo on/off must accept and reject
-// identical blocks); production paths leave it on.
-var hashMemoOn atomic.Bool
-
-func init() { hashMemoOn.Store(true) }
-
-// SetHashMemoization toggles digest memoization at runtime. Turning it
-// off also makes every existing memo read as empty, so a stale memo
-// cannot outlive a toggle cycle within one test.
-func SetHashMemoization(on bool) { hashMemoOn.Store(on) }
-
-// HashMemoization reports whether digest memoization is enabled.
-func HashMemoization() bool { return hashMemoOn.Load() }
-
 // memoHash is a lazily filled digest. The zero value is empty; it is
 // carried by value when its owner is copied, which stays correct
 // because the memo is a pure function of the owner's encoded fields.
@@ -44,17 +25,8 @@ type memoHash struct {
 	set bool
 }
 
-func (m *memoHash) get() (hashx.Hash, bool) {
-	if !m.set || !hashMemoOn.Load() {
-		return hashx.ZeroHash, false
-	}
-	return m.h, true
-}
+func (m *memoHash) get() (hashx.Hash, bool) { return m.h, m.set }
 
-func (m *memoHash) put(h hashx.Hash) {
-	if hashMemoOn.Load() {
-		m.h, m.set = h, true
-	}
-}
+func (m *memoHash) put(h hashx.Hash) { m.h, m.set = h, true }
 
 func (m *memoHash) clear() { m.set = false }

@@ -287,6 +287,59 @@ func TestEBVSigHashProperties(t *testing.T) {
 	}
 }
 
+// checkDigests fails the test unless tx's LeafHash, body hashes
+// (with their nested leaf hashes) and SigHash equal a recomputation
+// from its encoding — a fresh decode, whose memos are empty — both on
+// the first call, which fills the memos, and on the second, which
+// reads them.
+func checkDigests(t testing.TB, what string, tx *EBVTx) {
+	t.Helper()
+	fresh, err := DecodeEBVTx(tx.Encode(nil))
+	if err != nil {
+		t.Fatalf("%s: re-decode: %v", what, err)
+	}
+	leaf, sig := fresh.Tidy.LeafHash(), fresh.SigHash()
+	bodies := make([]hashx.Hash, len(fresh.Bodies))
+	prevs := make([]hashx.Hash, len(fresh.Bodies))
+	for i := range fresh.Bodies {
+		bodies[i], prevs[i] = fresh.Bodies[i].Hash(), fresh.Bodies[i].PrevTx.LeafHash()
+	}
+	for round := 0; round < 2; round++ {
+		if tx.Tidy.LeafHash() != leaf {
+			t.Fatalf("%s (call %d): LeafHash differs from recomputation", what, round+1)
+		}
+		for i := range tx.Bodies {
+			if tx.Bodies[i].Hash() != bodies[i] || tx.Bodies[i].PrevTx.LeafHash() != prevs[i] {
+				t.Fatalf("%s (call %d): body %d hash differs from recomputation", what, round+1, i)
+			}
+		}
+		if tx.SigHash() != sig {
+			t.Fatalf("%s (call %d): SigHash differs from recomputation", what, round+1)
+		}
+	}
+}
+
+// TestMemoizedDigestsMatchRecomputation pins the memo contract: after
+// decode, and after an in-place mutation of every hashed part followed
+// by Invalidate, the memoized digests equal an uncached recomputation.
+func TestMemoizedDigestsMatchRecomputation(t *testing.T) {
+	tx := &EBVTx{Tidy: sampleTidy(), Bodies: []InputBody{sampleBody(), sampleBody()}}
+	tx.SealInputHashes()
+	dec, err := DecodeEBVTx(tx.Encode(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDigests(t, "decoded", dec)
+
+	dec.Tidy.Outputs[0].Value++
+	dec.Tidy.LockTime++
+	dec.Bodies[0].RelIndex = 0
+	dec.Bodies[1].UnlockScript[0] ^= 1
+	dec.Bodies[1].PrevTx.StakePos++
+	dec.Invalidate()
+	checkDigests(t, "mutated", dec)
+}
+
 func TestSums(t *testing.T) {
 	tx := buildEBVTx(t)
 	in, ok := tx.InputSum()

@@ -34,20 +34,21 @@ echo "== flake loop (concurrent soak, byte counters, peer out-queues) =="
 go test -count=20 -run 'TestStatusDBConcurrentSoak|TestByteCounters|TestHelloFirstWhileAnnouncing|TestNeverReadingSubmitter|TestPacedBlockServingStalls|TestStalledLightSubscriberGetsDropFlag' \
 	./internal/statusdb ./internal/p2p
 
-echo "== connect-route equivalence loop (reference model, -race) =="
-# Block connect has one route (verify stage + ordered reduce) at every
-# worker count; these suites pin it to the test-only reference model
-# and to the recycling of its per-block verdict storage. Their failure
-# selection depends on goroutine scheduling, so run them repeatedly
-# under the race detector.
-go test -race -count=5 -run 'TestPipelineEquivalence|TestPipelineFailureDeterministic|TestPreverifyConnectEquivalence|TestReferenceAcceptsChain|TestRecycledVerdictsDoNotLeak' \
+echo "== verdict-route equivalence loop (reference model, -race) =="
+# Block connect, transaction admission and the light verifier share
+# one route (verify stage + ordered reduce) at every worker count;
+# these suites pin it to the test-only reference model and to the
+# recycling of its verdict storage. Their failure selection depends on
+# goroutine scheduling, so run them repeatedly under the race detector.
+go test -race -count=5 -run 'TestPipelineEquivalence|TestPipelineFailureDeterministic|TestPreverifyConnectEquivalence|TestReferenceAcceptsChain|TestRecycledVerdictsDoNotLeak|TestTxBatchMatchesReference' \
 	./internal/core
+go test -race -count=5 -run 'TestVerifyBlock' ./internal/light
 
 echo "== allocation gate (warm ingest path) =="
 # The zero-alloc tests carry a !race build tag (race instrumentation
 # skews allocation accounting), so the -race pass above never sees
 # them — run them explicitly.
-go test -run 'TestWarmCacheValidateInputZeroAllocs|TestWarmDecodeZeroAllocs|TestWarmConnectAllocBudget' \
+go test -run 'TestWarmAdmissionAllocBudget|TestWarmDecodeZeroAllocs|TestWarmConnectAllocBudget' \
 	./internal/core/
 go test -run 'TestScratchBuffersSteadyStateZeroAllocs' ./internal/ingest/
 # Peer writers encode frames in place in their bufio.Writer.
