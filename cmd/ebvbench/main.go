@@ -24,7 +24,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment id(s), comma-separated: fig1,fig4,fig5,fig14,fig14full,fig15,fig16,fig17,fig18, ablation-cache,ablation-dbcache,ablation-simcost,ablation-latency,ablation-vector,ablation-parallel,ablation-bootstrap,ablation-ibdpipe,ablation-reorg,ablation-shards,ablation-overhead,ablation-admission,ablation-relay, related-proofs,net-ibd; 'all' = figures, 'everything' = figures+ablations")
+		exp      = flag.String("exp", "all", "experiment id(s), comma-separated: "+bench.IDList()+"; 'all' = figures, 'everything' = figures+ablations")
 		blocks   = flag.Int("blocks", 0, "chain height (default preset)")
 		txScale  = flag.Float64("txscale", 0, "tx-per-block scale factor (default preset)")
 		seed     = flag.Int64("seed", 1, "workload seed")
@@ -37,7 +37,7 @@ func main() {
 		artDir   = flag.String("artifactdir", "", "directory for machine-readable BENCH_*.json artifacts (default .)")
 		quick    = flag.Bool("quick", false, "small preset for smoke runs")
 		workers  = flag.Int("workers", 0, "override worker counts swept by ablation-parallel (0 = {1,2,4,NumCPU})")
-		vcache   = flag.Int("vcache", 0, "verified-proof cache entries for every EBV node (0 disables; ablation-cache sweeps its own sizes)")
+		vcache   = flag.Int("vcache", 0, "verified-proof cache entries for every EBV node (0 disables)")
 		depth    = flag.Int("depth", 0, "cross-block IBD pipeline depth for every EBV node (0 disables; ablation-ibdpipe sweeps its own depths)")
 		shards   = flag.Int("shards", 0, "status-database shard count for every EBV node (0 = statusdb default; ablation-shards sweeps its own counts)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")

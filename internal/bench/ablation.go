@@ -16,9 +16,7 @@ import (
 // AblationDBCache sweeps the baseline's memory budget: the
 // memory-limit sensitivity behind the paper's choice to fix 500 MB for
 // both systems. As the budget falls below the UTXO-set size, DBO time
-// explodes; EBV has no such cliff. (Formerly registered as
-// "ablation-cache"; that id now names the verified-proof cache sweep
-// in vcache.go.)
+// explodes; EBV has no such cliff.
 func (e *Env) AblationDBCache(w io.Writer) error {
 	budgets := []int{e.Opts.MemLimit / 8, e.Opts.MemLimit / 4, e.Opts.MemLimit / 2,
 		e.Opts.MemLimit, e.Opts.MemLimit * 4, e.Opts.MemLimit * 16}

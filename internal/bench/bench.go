@@ -69,8 +69,7 @@ type Options struct {
 	// sequential validator (and the default sweep).
 	Workers int
 	// VerifyCache, when > 0, runs every EBV node with a verified-proof
-	// cache of that many entries. 0 keeps caching off; ablation-cache
-	// sweeps its own sizes regardless.
+	// cache of that many entries. 0 keeps caching off.
 	VerifyCache int
 	// PipelineDepth, when > 0, runs every EBV node's IBD through the
 	// cross-block pipeline at that depth; ablation-ibdpipe sweeps its
@@ -81,8 +80,8 @@ type Options struct {
 	// sweeps its own counts regardless. 0 keeps the statusdb default.
 	StatusShards int
 	// ArtifactDir is where experiments that emit machine-readable
-	// results (BENCH_cache.json) write them. Default "." (the current
-	// directory).
+	// results (BENCH_<id>.json, see Env.emit) write them. Default "."
+	// (the current directory).
 	ArtifactDir string
 }
 

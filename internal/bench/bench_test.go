@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -232,113 +233,54 @@ func TestAblationsRun(t *testing.T) {
 	}
 }
 
-func TestAblationCacheRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full harness run")
-	}
-	e := newTestEnv(t)
-	var out bytes.Buffer
-	if err := RunByID(e, "ablation-cache", &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "verified-proof cache") || !strings.Contains(s, "warm") {
-		t.Fatalf("missing ablation-cache output:\n%s", s)
-	}
-	raw, err := os.ReadFile(filepath.Join(e.Opts.ArtifactDir, "BENCH_cache.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []struct {
-		Size      int    `json:"cache_size"`
-		Mode      string `json:"mode"`
-		Hits      int    `json:"cache_hits"`
-		Misses    int    `json:"cache_misses"`
-		Evictions uint64 `json:"evictions"`
-	}
-	if err := json.Unmarshal(raw, &rows); err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 5 {
-		t.Fatalf("expected 5 rows (1 uncached + 2 sizes x cold/warm), got %d", len(rows))
-	}
-	for _, r := range rows {
-		switch {
-		case r.Size == 0 && (r.Hits != 0 || r.Misses != 0):
-			t.Fatalf("uncached row must report no cache traffic: %+v", r)
-		case r.Size > 0 && r.Mode == "cold" && r.Hits != 0:
-			t.Fatalf("cold row must not hit (every window proof is new): %+v", r)
-		case r.Size > 0 && r.Mode == "warm" && (r.Hits == 0 || r.Misses != 0):
-			t.Fatalf("warm row must hit on every window input: %+v", r)
-		}
-		// Counters are scoped to the measurement window: every eviction
-		// requires an insertion, and window insertions are bounded by
-		// the window's cache traffic. The pre-window replay used to
-		// leak its evictions into these rows (e.g. thousands of
-		// evictions on a row with zero misses).
-		if r.Size > 0 && r.Evictions > uint64(r.Hits+r.Misses) {
-			t.Fatalf("evictions exceed window cache traffic (stat carry-over from warm-up replay): %+v", r)
-		}
-	}
-}
-
 func TestEverythingIncludesAblations(t *testing.T) {
 	ids := map[string]bool{}
 	for _, ex := range Experiments() {
 		ids[ex.ID] = true
 	}
-	for _, want := range []string{"fig1", "fig18", "ablation-cache", "ablation-vector", "ablation-overhead"} {
+	for _, want := range []string{"fig1", "fig18", "ablation-dbcache", "ablation-vector", "ablation-reorg"} {
 		if !ids[want] {
 			t.Fatalf("missing experiment %s", want)
 		}
 	}
 }
 
-func TestAblationOverheadRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full harness run")
+// TestExperimentIDsDocumented keeps the registry and the docs in step:
+// every registered experiment is documented in EXPERIMENTS.md, and
+// every fig*/ablation-* id the docs or scripts/check.sh name is
+// registered. Retired ids may appear only in EXPERIMENTS.md, which maps
+// each to the perfbench metrics that replaced it.
+func TestExperimentIDsDocumented(t *testing.T) {
+	retired := map[string]bool{
+		"ablation-cache": true, "ablation-admission": true, "ablation-relay": true,
+		"ablation-light": true, "ablation-overhead": true,
 	}
-	e := newTestEnv(t)
-	var out bytes.Buffer
-	if err := RunByID(e, "ablation-overhead", &out); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "uv-floor") || !strings.Contains(s, "zero-copy") {
-		t.Fatalf("missing ablation-overhead output:\n%s", s)
-	}
-	raw, err := os.ReadFile(filepath.Join(e.Opts.ArtifactDir, "BENCH_overhead.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows []struct {
-		Arm     string  `json:"arm"`
-		TotalNS int64   `json:"total_ns"`
-		Inputs  int     `json:"inputs"`
-		Ratio   float64 `json:"ratio_vs_uv_floor"`
-	}
-	if err := json.Unmarshal(raw, &rows); err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]bool{
-		"uv-floor": false, "probe-only": false, "copy-decode": false,
-		"zero-copy": false, "zero-copy-unpooled": false,
-	}
-	for _, r := range rows {
-		if _, ok := want[r.Arm]; !ok {
-			t.Fatalf("unexpected arm %q", r.Arm)
-		}
-		want[r.Arm] = true
-		if r.TotalNS <= 0 || r.Inputs <= 0 {
-			t.Fatalf("arm %s measured nothing: %+v", r.Arm, r)
-		}
-		if r.Arm == "uv-floor" && r.Ratio != 1.0 {
-			t.Fatalf("uv-floor must be its own baseline: %+v", r)
+	registered := map[string]bool{}
+	for _, ex := range Experiments() {
+		registered[ex.ID] = true
+		if retired[ex.ID] {
+			t.Errorf("retired experiment %s is registered", ex.ID)
 		}
 	}
-	for arm, seen := range want {
-		if !seen {
-			t.Fatalf("missing arm %s", arm)
+	named := regexp.MustCompile(`\b(fig[0-9]+[a-z]*|ablation-[a-z]+)\b`)
+	for _, doc := range []string{"EXPERIMENTS.md", "README.md", "scripts/check.sh"} {
+		raw, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(raw)
+		for _, id := range named.FindAllString(text, -1) {
+			if !registered[id] && !(retired[id] && doc == "EXPERIMENTS.md") {
+				t.Errorf("%s names unknown experiment %s", doc, id)
+			}
+		}
+		if doc != "EXPERIMENTS.md" {
+			continue
+		}
+		for id := range registered {
+			if !regexp.MustCompile(`(^|[^a-z0-9-])` + regexp.QuoteMeta(id) + `($|[^a-z0-9-])`).MatchString(text) {
+				t.Errorf("EXPERIMENTS.md does not document experiment %s", id)
+			}
 		}
 	}
 }
@@ -424,12 +366,21 @@ func TestAblationBootstrapRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []map[string]any
-	if err := json.Unmarshal(data, &rows); err != nil {
+	var doc struct {
+		Provenance map[string]any   `json:"provenance"`
+		Rows       []map[string]any `json:"rows"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
+	rows := doc.Rows
 	if len(rows) == 0 {
 		t.Fatal("empty BENCH_bootstrap.json")
+	}
+	for _, k := range []string{"experiment", "nproc", "gomaxprocs", "go", "commit", "seed", "blocks", "txscale", "quick"} {
+		if _, ok := doc.Provenance[k]; !ok {
+			t.Fatalf("BENCH_bootstrap.json provenance lacks %q: %v", k, doc.Provenance)
+		}
 	}
 	last := rows[len(rows)-1]
 	if last["fast_sync_bytes"].(float64) >= last["full_ibd_bytes"].(float64) {
@@ -453,15 +404,25 @@ func TestAblationReorgRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []struct {
-		Depth        int    `json:"depth"`
-		System       string `json:"system"`
-		DisconnectNS int64  `json:"disconnect_ns"`
-		ReconnectNS  int64  `json:"reconnect_ns"`
+	var doc struct {
+		Provenance struct {
+			Experiment string `json:"experiment"`
+			Seed       int64  `json:"seed"`
+		} `json:"provenance"`
+		Rows []struct {
+			Depth        int    `json:"depth"`
+			System       string `json:"system"`
+			DisconnectNS int64  `json:"disconnect_ns"`
+			ReconnectNS  int64  `json:"reconnect_ns"`
+		} `json:"rows"`
 	}
-	if err := json.Unmarshal(data, &rows); err != nil {
+	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
+	if doc.Provenance.Experiment != "ablation-reorg" || doc.Provenance.Seed != e.Opts.Seed {
+		t.Fatalf("provenance does not name the run: %+v", doc.Provenance)
+	}
+	rows := doc.Rows
 	// Two systems per depth, every phase measured on real work.
 	if len(rows) != 8 {
 		t.Fatalf("want 4 depths x 2 systems, got %d rows", len(rows))
@@ -473,48 +434,5 @@ func TestAblationReorgRuns(t *testing.T) {
 		if r.DisconnectNS <= 0 || r.ReconnectNS <= 0 {
 			t.Fatalf("unmeasured phase: %+v", r)
 		}
-	}
-}
-
-func TestAblationLightRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full harness run")
-	}
-	e := newTestEnv(t)
-	var out bytes.Buffer
-	if err := RunByID(e, "ablation-light", &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "per 1k subscribers") {
-		t.Fatalf("missing ablation-light output:\n%s", out.String())
-	}
-	data, err := os.ReadFile(filepath.Join(e.Opts.ArtifactDir, "BENCH_light.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Subscribers     int     `json:"subscribers"`
-		Blocks          int64   `json:"pushed_blocks"`
-		MatchNSPerBlock int64   `json:"serve_match_ns_per_block"`
-		BytesPer1k      int64   `json:"serve_bytes_per_1k_subs_per_block"`
-		ClientVerifyNS  int64   `json:"client_verify_ns_per_block"`
-		FullDownloads   int64   `json:"client_full_block_downloads"`
-		IBDPerBlockNS   int64   `json:"ibd_ns_per_block"`
-		SimLastClientNS int64   `json:"sim_1000_last_client_ns"`
-		VerifyVsIBD     float64 `json:"client_verify_over_ibd"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatal(err)
-	}
-	if report.Subscribers <= 0 || report.Blocks <= 0 {
-		t.Fatalf("empty run: %+v", report)
-	}
-	if report.MatchNSPerBlock <= 0 || report.BytesPer1k <= 0 ||
-		report.ClientVerifyNS <= 0 || report.IBDPerBlockNS <= 0 ||
-		report.SimLastClientNS <= 0 {
-		t.Fatalf("unmeasured metric: %+v", report)
-	}
-	if report.FullDownloads != 0 {
-		t.Fatalf("light clients downloaded %d full blocks", report.FullDownloads)
 	}
 }

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -90,16 +88,7 @@ func (e *Env) AblationBootstrap(w io.Writer) error {
 		last.Blocks, reduction(float64(last.FullBytes), float64(last.FastBytes)),
 		time.Duration(last.WanFullNS), time.Duration(last.WanFastNS))
 
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(e.Opts.ArtifactDir, "BENCH_bootstrap.json")
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	logf(w, "ablation-bootstrap: wrote %s", path)
-	return nil
+	return e.emit("bootstrap", rows)
 }
 
 type bootstrapResult struct {

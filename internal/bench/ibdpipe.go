@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -117,17 +115,5 @@ func (e *Env) AblationIBDPipe(w io.Writer) error {
 	fmt.Fprintf(w, "baselines: sequential %v, per-block-parallel (w=%d) %v\n",
 		seqWall.Round(time.Millisecond), wide, parWall.Round(time.Millisecond))
 
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(e.Opts.ArtifactDir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(e.Opts.ArtifactDir, "BENCH_ibdpipe.json")
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	logf(w, "ablation-ibdpipe: wrote %s", path)
-	return nil
+	return e.emit("ibdpipe", rows)
 }

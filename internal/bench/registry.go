@@ -25,7 +25,6 @@ func Experiments() []Experiment {
 		{"fig16", "Validation time Bitcoin vs EBV (16a) and EBV components (16b)", (*Env).Fig16},
 		{"fig17", "IBD time Bitcoin vs EBV with repeats (17a) and EBV components (17b)", (*Env).Fig17},
 		{"fig18", "Block propagation delay over the gossip network", (*Env).Fig18},
-		{"ablation-cache", "EBV window validation vs verified-proof cache (cold/warm)", (*Env).AblationCache},
 		{"ablation-dbcache", "Baseline IBD vs memory budget", (*Env).AblationDBCache},
 		{"ablation-simcost", "EBV validation vs signature-verify cost", (*Env).AblationSimCost},
 		{"ablation-latency", "Baseline IBD vs disk model", (*Env).AblationLatency},
@@ -35,10 +34,6 @@ func Experiments() []Experiment {
 		{"ablation-ibdpipe", "Cross-block pipelined IBD vs depth and workers", (*Env).AblationIBDPipe},
 		{"ablation-reorg", "Reorg cost vs depth: EBV body restores vs baseline undo records", (*Env).AblationReorg},
 		{"ablation-shards", "Status-database shard count: commit, probe, and snapshot-export scaling", (*Env).AblationShards},
-		{"ablation-overhead", "Warm-path ingest overhead: decode copies, scratch pooling, batched status writes", (*Env).AblationOverhead},
-		{"ablation-admission", "Tx admission: batched verification vs one-at-a-time across batch × workers", (*Env).AblationAdmission},
-		{"ablation-relay", "Compact block relay vs full-block gossip across mempool overlap", (*Env).AblationRelay},
-		{"ablation-light", "Light-client tier: serve-side fan-out cost and client verification vs full IBD", (*Env).AblationLight},
 		{"related-proofs", "Proof size/churn: EBV vs accumulator designs", (*Env).RelatedProofs},
 		{"net-ibd", "Networked IBD over the gossip protocol", (*Env).NetIBD},
 	}
@@ -70,13 +65,14 @@ func RunByID(e *Env, id string, w io.Writer) error {
 			}
 		}
 		if !found {
-			return fmt.Errorf("bench: unknown experiment %q (use %s or all)", one, idList())
+			return fmt.Errorf("bench: unknown experiment %q (use %s or all)", one, IDList())
 		}
 	}
 	return nil
 }
 
-func idList() string {
+// IDList is every registered experiment id, comma-separated.
+func IDList() string {
 	ids := make([]string, 0, len(Experiments()))
 	for _, ex := range Experiments() {
 		ids = append(ids, ex.ID)

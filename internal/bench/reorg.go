@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"time"
 
 	"ebv/internal/blockmodel"
@@ -98,16 +95,7 @@ func (e *Env) AblationReorg(w io.Writer) error {
 	t.write(w, "Ablation: reorg cost vs depth (disconnect + reconnect, same blocks)")
 	fmt.Fprintln(w, "EBV restores bits from the disconnected block's own bodies; the baseline replays persisted undo records.")
 
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(e.Opts.ArtifactDir, "BENCH_reorg.json")
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", path)
-	return nil
+	return e.emit("reorg", rows)
 }
 
 // reorgCycleEBV disconnects d tip blocks and reconnects the same

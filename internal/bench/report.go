@@ -1,8 +1,13 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"time"
 )
@@ -114,4 +119,44 @@ func reduction(old, new float64) string {
 		return "n/a"
 	}
 	return fmt.Sprintf("%.1f%%", 100*(old-new)/old)
+}
+
+// emit writes BENCH_<id>.json into Options.ArtifactDir: the rows of
+// experiment ablation-<id> under a provenance record naming the host,
+// the code and the inputs that produced them. The host and code keys
+// are the ones perfbench prints; a commit built from a modified tree
+// carries a "-dirty" suffix.
+func (e *Env) emit(id string, rows any) error {
+	commit, dirty := "unknown", ""
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch {
+			case s.Key == "vcs.revision":
+				commit = s.Value
+			case s.Key == "vcs.modified" && s.Value == "true":
+				dirty = "-dirty"
+			}
+		}
+	}
+	out, err := json.MarshalIndent(map[string]any{
+		"provenance": map[string]any{
+			"experiment": "ablation-" + id,
+			"nproc":      runtime.NumCPU(),
+			"gomaxprocs": runtime.GOMAXPROCS(0),
+			"go":         runtime.Version(),
+			"commit":     commit + dirty,
+			"seed":       e.Opts.Seed,
+			"blocks":     e.Opts.Blocks,
+			"txscale":    e.Opts.TxScale,
+			"quick":      e.Opts.Quick,
+		},
+		"rows": rows,
+	}, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(e.Opts.ArtifactDir, 0o755); err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(e.Opts.ArtifactDir, "BENCH_"+id+".json"), append(out, '\n'), 0o644)
 }

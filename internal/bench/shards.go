@@ -2,12 +2,9 @@ package bench
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -229,17 +226,5 @@ func (e *Env) AblationShards(w io.Writer) error {
 	}
 	t.write(w, "Ablation: status-database shard count (state byte-identical across all rows)")
 
-	out, err := json.MarshalIndent(rows, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(e.Opts.ArtifactDir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(e.Opts.ArtifactDir, "BENCH_shards.json")
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		return err
-	}
-	logf(w, "ablation-shards: wrote %s", path)
-	return nil
+	return e.emit("shards", rows)
 }

@@ -290,50 +290,24 @@ func (b *EBVBlock) Encode(dst []byte) []byte {
 	return dst
 }
 
-// DecodeEBVBlock parses an EBV block.
+// DecodeEBVBlock parses an EBV block. The result owns all of its
+// memory (no aliasing of data).
 func DecodeEBVBlock(data []byte) (*EBVBlock, error) {
-	if len(data) < headerSize {
-		return nil, fmt.Errorf("blockmodel: block shorter than header")
-	}
-	h, err := DecodeHeader(data[:headerSize])
-	if err != nil {
+	b := new(EBVBlock)
+	if err := DecodeEBVBlockInto(b, data, nil); err != nil {
 		return nil, err
-	}
-	b := &EBVBlock{Header: h}
-	off := headerSize
-	n, used := varint.Uvarint(data[off:])
-	if used <= 0 || n > 1<<20 {
-		return nil, fmt.Errorf("blockmodel: bad tx count")
-	}
-	off += used
-	b.Txs = make([]*txmodel.EBVTx, n)
-	for i := range b.Txs {
-		l, used := varint.Uvarint(data[off:])
-		if used <= 0 || int(l) > len(data)-off-used {
-			return nil, fmt.Errorf("blockmodel: truncated tx %d", i)
-		}
-		off += used
-		tx, err := txmodel.DecodeEBVTx(data[off : off+int(l)])
-		if err != nil {
-			return nil, fmt.Errorf("blockmodel: tx %d: %w", i, err)
-		}
-		b.Txs[i] = tx
-		off += int(l)
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("blockmodel: %d trailing bytes", len(data)-off)
 	}
 	return b, nil
 }
 
-// DecodeEBVBlockInto parses an EBV block into b using borrowed-bytes
-// decoding: transaction byte fields alias data and all slice storage
-// comes from the arena. The caller owns b (typically a reusable shell
-// inside an ingest scratch); any previous contents are discarded. The
-// decoded block is valid only while data stays alive and unmodified
-// and a is not Reset, and must be treated as immutable after decode.
-// It accepts exactly the inputs DecodeEBVBlock accepts, with identical
-// errors and identical re-encoding.
+// DecodeEBVBlockInto parses an EBV block into b. With a non-nil arena
+// it decodes borrowed bytes: transaction byte fields alias data and
+// all slice storage comes from the arena, so the block is valid only
+// while data stays alive and unmodified and a is not Reset, and must
+// be treated as immutable after decode. With a nil arena it copies,
+// and the block owns its memory (DecodeEBVBlock). The caller owns b
+// (typically a reusable shell inside an ingest scratch); any previous
+// contents are discarded.
 func DecodeEBVBlockInto(b *EBVBlock, data []byte, a *txmodel.Arena) error {
 	*b = EBVBlock{}
 	if len(data) < headerSize {

@@ -69,10 +69,10 @@ type Config struct {
 	// PipelineDepth, when > 0, replays IBD through the cross-block
 	// pipeline (internal/pipeline): structure checks and EV+SV proof
 	// verification of up to PipelineDepth future blocks overlap the
-	// sequential UV probes and commit of the current one. Applies to
-	// RunIBDEBV and the post-fast-sync catch-up; 0 keeps
-	// one-block-at-a-time replay. Failure behavior is identical to the
-	// sequential path (same first error at the same height).
+	// sequential UV probes and commit of the current one. RunIBDEBV
+	// at 0 replays one block at a time; post-fast-sync catch-up always
+	// pipelines (0 runs at depth 1). Failure behavior is identical to
+	// the sequential path (same first error at the same height).
 	PipelineDepth int
 	// FastSync, when non-nil with peers configured, bootstraps an
 	// empty EBV node from peer snapshots inside NewEBVNode before the

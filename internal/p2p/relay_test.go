@@ -7,8 +7,11 @@ import (
 	"ebv/internal/blockmodel"
 	"ebv/internal/chainstore"
 	"ebv/internal/hashx"
+	"ebv/internal/loadgen"
 	"ebv/internal/p2p/wire"
 	"ebv/internal/relay"
+	"ebv/internal/script"
+	"ebv/internal/sig"
 	"ebv/internal/txmodel"
 )
 
@@ -118,6 +121,82 @@ func TestCompactRelayWarmMempool(t *testing.T) {
 	if ks[wire.CmpctBlock].MsgsIn != 1 {
 		t.Fatalf("kind counters missed the announcement: %+v", ks[wire.CmpctBlock])
 	}
+}
+
+// spendBlock builds the block after src's tip from n independent
+// single-input spends of the chain's unspent outputs — a block larger
+// than the workload chain's own, the size a synced mempool mines.
+func spendBlock(t testing.TB, src *chainstore.Store, n int) (uint64, []byte) {
+	t.Helper()
+	const fee = 1_000
+	corpus, err := loadgen.Prepare(src, sig.SimSig{}, n, fee)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(corpus) < n {
+		t.Fatalf("only %d spendable outputs, want %d", len(corpus), n)
+	}
+	tip, _ := src.TipHeight()
+	height := tip + 1
+	txs := []*txmodel.EBVTx{{Tidy: txmodel.TidyTx{
+		Outputs: []txmodel.TxOut{{
+			Value:      blockmodel.Subsidy(height) + fee*uint64(n),
+			LockScript: script.StandardLock(sig.SimSig{}.KeyFromSeed([]byte("relay-miner"))),
+		}},
+		LockTime: uint32(height),
+	}}}
+	for _, raw := range corpus {
+		tx, err := txmodel.DecodeEBVTx(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		txs = append(txs, tx)
+	}
+	blk, err := blockmodel.AssembleEBV(src.TipHash(), height, 0, txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return height, blk.Encode(nil)
+}
+
+// At 95% mempool overlap compact delivery — the announcement, the one
+// getblocktxn round trip and the missing transactions — must cost
+// under a tenth of the full block's bytes, with no fallback.
+func TestCompactRelayByteGate(t *testing.T) {
+	_, src := buildEBVChain(t, 250)
+	h, raw := spendBlock(t, src, 100)
+
+	announcer, announcerNode := newEBVGossipNode(t, Config{Relay: &testSource{}})
+	preload(t, announcerNode, src, h)
+	receiver, receiverNode := newEBVGossipNode(t, Config{
+		// Transactions 20, 40, ..., 100 are missing: 95 of 100 held.
+		Relay: sourceFromBlock(t, raw, func(i int) bool { return i%20 != 0 }),
+	})
+	preload(t, receiverNode, src, h)
+
+	if err := receiver.Connect(announcer.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "handshake", func() bool {
+		return announcer.PeerCount() == 1 && receiver.PeerCount() == 1
+	})
+	if err := announcer.SubmitLocal(raw); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "95%-overlap delivery", func() bool {
+		got, ok := receiverNode.Chain.TipHeight()
+		return ok && got == h
+	})
+	rs := receiver.RelayStats()
+	if rs.Reconstructed != 1 || rs.Fallbacks != 0 {
+		t.Fatalf("receiver relay stats %+v", rs)
+	}
+	ks := receiver.KindStats()
+	compact := ks[wire.CmpctBlock].BytesIn + ks[wire.GetBlockTxn].BytesOut + ks[wire.BlockTxn].BytesIn
+	if compact*10 >= int64(len(raw)) {
+		t.Fatalf("compact delivery cost %d B against a %d B block (>= 10%%)", compact, len(raw))
+	}
+	t.Logf("compact delivery: %d B for a %d B block (%d txns fetched)", compact, len(raw), rs.TxnsRequested)
 }
 
 // A half-warm receiver fetches exactly the missing transactions over

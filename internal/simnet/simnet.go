@@ -50,51 +50,6 @@ func (n Normal) Sample(rng *rand.Rand) time.Duration {
 	return d
 }
 
-// Empirical resamples from measured durations.
-type Empirical []time.Duration
-
-// Sample implements ValidationModel.
-func (e Empirical) Sample(rng *rand.Rand) time.Duration {
-	if len(e) == 0 {
-		return 0
-	}
-	return e[rng.Intn(len(e))]
-}
-
-// TransferModel adds a per-hop serialization delay on top of the link
-// latency: the bytes a hop puts on the wire divided by the link
-// bandwidth. It lets the simulation contrast full-block gossip
-// (BlockBytes per hop) with compact relay, where a hop usually ships
-// only the short-id announcement and pays an extra round trip plus a
-// blocktxn transfer only when the receiver's mempool misses some of
-// the block's transactions.
-type TransferModel struct {
-	// Bandwidth is the link throughput in bytes per second. Zero or
-	// negative disables transfer delay (pure-latency links, the
-	// pre-transfer simnet behavior).
-	Bandwidth float64
-	// BlockBytes is the full block's wire size — what a legacy hop
-	// transfers.
-	BlockBytes int
-	// Compact, when non-nil, switches every hop to compact relay.
-	Compact *CompactModel
-}
-
-// CompactModel parameterizes a compact-relay hop.
-type CompactModel struct {
-	// AnnounceBytes is the cmpctblock announcement size (header +
-	// stake positions + short ids).
-	AnnounceBytes int
-	// MissProb is the probability that a receiving node's mempool is
-	// missing at least one of the block's transactions, forcing a
-	// getblocktxn round trip (one extra link RTT) before the block
-	// completes.
-	MissProb float64
-	// MissBytes is the blocktxn payload transferred when that
-	// happens — the missing transactions' bytes.
-	MissBytes int
-}
-
 // Config describes one simulation.
 type Config struct {
 	Nodes     int // default 20
@@ -107,9 +62,6 @@ type Config struct {
 	// jitter is applied per message. Defaults: 2ms / 120ms.
 	IntraRegion time.Duration
 	InterRegion time.Duration
-	// Transfer, when non-nil, adds per-hop serialization delay (and,
-	// with Transfer.Compact, the compact-relay round-trip model).
-	Transfer *TransferModel
 }
 
 func (c Config) withDefaults() Config {
@@ -248,31 +200,6 @@ func Run(cfg Config) (*Result, error) {
 		jitter := 0.8 + 0.4*rng.Float64()
 		return time.Duration(float64(base) * jitter)
 	}
-	// hopDelay is the full cost of moving the block one hop: link
-	// latency plus, under a TransferModel, the serialization time of
-	// whatever that hop puts on the wire. A compact hop ships the
-	// announcement and, with probability MissProb, adds a getblocktxn
-	// round trip (one extra RTT at this link's latency) and the
-	// missing transactions' bytes.
-	hopDelay := func(a, b int) time.Duration {
-		d := linkDelay(a, b)
-		t := cfg.Transfer
-		if t == nil || t.Bandwidth <= 0 {
-			return d
-		}
-		xfer := func(bytes int) time.Duration {
-			return time.Duration(float64(bytes) / t.Bandwidth * float64(time.Second))
-		}
-		if c := t.Compact; c != nil {
-			d += xfer(c.AnnounceBytes)
-			if c.MissProb > 0 && rng.Float64() < c.MissProb {
-				d += 2*linkDelay(a, b) + xfer(c.MissBytes)
-			}
-			return d
-		}
-		return d + xfer(t.BlockBytes)
-	}
-
 	seed := rng.Intn(cfg.Nodes)
 	arrival := make([]time.Duration, cfg.Nodes)
 	received := make([]bool, cfg.Nodes)
@@ -294,7 +221,7 @@ func Run(cfg Config) (*Result, error) {
 			if p == e.from || received[p] {
 				continue
 			}
-			heap.Push(&q, event{at: forwardAt + hopDelay(e.node, p), node: p, from: e.node})
+			heap.Push(&q, event{at: forwardAt + linkDelay(e.node, p), node: p, from: e.node})
 		}
 	}
 	for i, ok := range received {

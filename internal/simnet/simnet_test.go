@@ -72,42 +72,6 @@ func TestSlowerValidationSlowsPropagation(t *testing.T) {
 	}
 }
 
-func TestTransferModelCompactVsFull(t *testing.T) {
-	// 1 MiB blocks over 1 MB/s links: a full-block hop pays ~1s of
-	// serialization, a compact hop with a warm mempool ~1ms. Compact
-	// must propagate much faster; with a guaranteed miss on every hop
-	// the extra round trip plus the full payload must cost more than
-	// the announcement alone.
-	base := Config{Seed: 11, Validation: Fixed(time.Millisecond)}
-	xfer := func(c *CompactModel) *TransferModel {
-		return &TransferModel{Bandwidth: 1e6, BlockBytes: 1 << 20, Compact: c}
-	}
-	full := base
-	full.Transfer = xfer(nil)
-	fullRes, err := Run(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compact := base
-	compact.Transfer = xfer(&CompactModel{AnnounceBytes: 1 << 10})
-	compactRes, err := Run(compact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if compactRes.Max() >= fullRes.Max() {
-		t.Fatalf("compact relay must beat full blocks: %v vs %v", compactRes.Max(), fullRes.Max())
-	}
-	missy := base
-	missy.Transfer = xfer(&CompactModel{AnnounceBytes: 1 << 10, MissProb: 1, MissBytes: 1 << 20})
-	missyRes, err := Run(missy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if missyRes.Max() <= compactRes.Max() {
-		t.Fatalf("guaranteed misses must slow compact relay: %v vs %v", missyRes.Max(), compactRes.Max())
-	}
-}
-
 func TestSortedIsMonotonic(t *testing.T) {
 	r, err := Run(Config{Seed: 3, Validation: Fixed(time.Millisecond)})
 	if err != nil {
@@ -173,17 +137,6 @@ func TestValidationModels(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if d := n.Sample(rng); d < 0 {
 			t.Fatal("Normal must truncate at zero")
-		}
-	}
-	var e Empirical
-	if e.Sample(rng) != 0 {
-		t.Fatal("empty Empirical must be zero")
-	}
-	e = Empirical{time.Second, 2 * time.Second}
-	for i := 0; i < 20; i++ {
-		d := e.Sample(rng)
-		if d != time.Second && d != 2*time.Second {
-			t.Fatalf("Empirical sampled %v", d)
 		}
 	}
 }

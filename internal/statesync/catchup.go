@@ -26,8 +26,8 @@ type CatchUpResult struct {
 // hundred blocks behind the network; this closes the gap with the same
 // overlap (EV+SV of future blocks alongside UV+commit of past ones)
 // that pipelined IBD uses, so the node is serving-current the moment
-// it comes up. depth <= 0 degrades to one-block-at-a-time; workers is
-// the per-block fan-out.
+// it comes up. depth <= 0 runs the pipeline at depth 1, never block by
+// block; workers is the per-block fan-out.
 func CatchUp(src pipeline.Source, chain pipeline.Chain, v *core.EBVValidator, depth, workers int, logf func(string, ...any)) (*CatchUpResult, error) {
 	res := &CatchUpResult{}
 	start, ok := chain.TipHeight()

@@ -15,6 +15,9 @@ import "ebv/internal/hashx"
 // the memoized-hash fields embedded in TidyTx/InputBody/EBVTx: a slab
 // position reused across blocks must never serve a stale digest.
 //
+// A nil *Arena is valid for every Alloc method and heap-allocates, so
+// one decoder body serves both borrowed (arena) and copying (nil) mode.
+//
 // An Arena is not safe for concurrent use. It is designed to be owned
 // by one ingest scratch (see internal/ingest) and recycled through a
 // sync.Pool.
@@ -40,19 +43,44 @@ func (a *Arena) Reset() {
 // AllocHashes returns a cleared hash slice of length n from the arena.
 // It implements merkle.HashAllocator so branch siblings decode straight
 // into the arena.
-func (a *Arena) AllocHashes(n int) []hashx.Hash { return a.hashes.alloc(n) }
+func (a *Arena) AllocHashes(n int) []hashx.Hash {
+	if a == nil {
+		return make([]hashx.Hash, n)
+	}
+	return a.hashes.alloc(n)
+}
 
 // AllocOuts returns a cleared output slice of length n.
-func (a *Arena) AllocOuts(n int) []TxOut { return a.outs.alloc(n) }
+func (a *Arena) AllocOuts(n int) []TxOut {
+	if a == nil {
+		return make([]TxOut, n)
+	}
+	return a.outs.alloc(n)
+}
 
 // AllocBodies returns a cleared input-body slice of length n.
-func (a *Arena) AllocBodies(n int) []InputBody { return a.bodies.alloc(n) }
+func (a *Arena) AllocBodies(n int) []InputBody {
+	if a == nil {
+		return make([]InputBody, n)
+	}
+	return a.bodies.alloc(n)
+}
 
 // AllocTx returns a cleared EBV transaction shell.
-func (a *Arena) AllocTx() *EBVTx { return &a.txs.alloc(1)[0] }
+func (a *Arena) AllocTx() *EBVTx {
+	if a == nil {
+		return new(EBVTx)
+	}
+	return &a.txs.alloc(1)[0]
+}
 
 // AllocTxPtrs returns a cleared []*EBVTx of length n.
-func (a *Arena) AllocTxPtrs(n int) []*EBVTx { return a.txps.alloc(n) }
+func (a *Arena) AllocTxPtrs(n int) []*EBVTx {
+	if a == nil {
+		return make([]*EBVTx, n)
+	}
+	return a.txps.alloc(n)
+}
 
 // slab is a growable bump allocator over one element type. Growth
 // abandons the old backing array rather than copying, so slices handed

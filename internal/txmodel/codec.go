@@ -131,31 +131,6 @@ func (r *reader) varbytes(max int) []byte {
 	return out
 }
 
-// allocHashes returns hash storage of length n — from the arena in
-// borrowed mode, freshly allocated otherwise.
-func (r *reader) allocHashes(n int) []hashx.Hash {
-	if r.arena != nil {
-		return r.arena.AllocHashes(n)
-	}
-	return make([]hashx.Hash, n)
-}
-
-// allocOuts returns output storage of length n.
-func (r *reader) allocOuts(n int) []TxOut {
-	if r.arena != nil {
-		return r.arena.AllocOuts(n)
-	}
-	return make([]TxOut, n)
-}
-
-// allocBodies returns input-body storage of length n.
-func (r *reader) allocBodies(n int) []InputBody {
-	if r.arena != nil {
-		return r.arena.AllocBodies(n)
-	}
-	return make([]InputBody, n)
-}
-
 // done verifies the buffer was fully consumed.
 func (r *reader) done() error {
 	if r.err != nil {

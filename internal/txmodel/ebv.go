@@ -87,7 +87,7 @@ func decodeTidyInto(t *TidyTx, r *reader) {
 		r.fail("%d input hashes exceeds limit", nin)
 		return
 	}
-	t.InputHashes = r.allocHashes(int(nin))
+	t.InputHashes = r.arena.AllocHashes(int(nin))
 	for i := range t.InputHashes {
 		t.InputHashes[i] = r.hash()
 	}
@@ -96,7 +96,7 @@ func decodeTidyInto(t *TidyTx, r *reader) {
 		r.fail("%d outputs exceeds limit", nout)
 		return
 	}
-	t.Outputs = r.allocOuts(int(nout))
+	t.Outputs = r.arena.AllocOuts(int(nout))
 	for i := range t.Outputs {
 		t.Outputs[i] = decodeTxOut(r)
 	}
@@ -201,16 +201,7 @@ func decodeBodyInto(b *InputBody, r *reader) {
 	if r.err != nil {
 		return
 	}
-	var (
-		br  merkle.Branch
-		n   int
-		err error
-	)
-	if r.arena != nil {
-		br, n, err = merkle.DecodeBranchArena(r.data[r.off:], r.arena)
-	} else {
-		br, n, err = merkle.DecodeBranch(r.data[r.off:])
-	}
+	br, n, err := merkle.DecodeBranchArena(r.data[r.off:], r.arena)
 	if err != nil {
 		r.fail("branch: %v", err)
 		return
@@ -325,7 +316,7 @@ func decodeEBVTxInto(t *EBVTx, r *reader) {
 		r.fail("%d bodies exceeds limit", nb)
 		return
 	}
-	t.Bodies = r.allocBodies(int(nb))
+	t.Bodies = r.arena.AllocBodies(int(nb))
 	for i := range t.Bodies {
 		body := r.varbytes(maxBodyBytes)
 		if r.err != nil {

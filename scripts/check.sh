@@ -209,60 +209,47 @@ if [ -z "$healed" ]; then
 fi
 echo "partition healed over TCP (light node reorged to height 299)"
 
-echo "== reorg bench smoke =="
-"$tmp/bin/ebvbench" -exp ablation-reorg -quick -blocks 200 \
-	-datadir "$tmp/bench" -artifactdir "$tmp" >/dev/null 2>&1
-if [ ! -f "$tmp/BENCH_reorg.json" ]; then
-	echo "check.sh: ablation-reorg wrote no BENCH_reorg.json" >&2
+# bench_smoke ablation-ID [FLAGS...] runs one ebvbench experiment at
+# -quick scale and checks that BENCH_ID.json carries a provenance
+# record and its rows.
+bench_smoke() {
+	exp=$1
+	id=${exp#ablation-}
+	shift
+	"$tmp/bin/ebvbench" -exp "$exp" -quick -blocks 200 \
+		-datadir "$tmp/bench" -artifactdir "$tmp" "$@" >/dev/null 2>&1
+	out="$tmp/BENCH_$id.json"
+	if [ ! -f "$out" ]; then
+		echo "check.sh: $exp wrote no BENCH_$id.json" >&2
+		exit 1
+	fi
+	if ! grep -q '"provenance": {' "$out" || ! grep -q '"rows": \[' "$out"; then
+		echo "check.sh: BENCH_$id.json lacks a provenance object or rows:" >&2
+		cat "$out" >&2
+		exit 1
+	fi
+	echo "BENCH_$id.json written with provenance"
+}
+
+echo "== reorg bench smoke (with CPU profile) =="
+# Also exercises the -cpuprofile plumbing.
+bench_smoke ablation-reorg -cpuprofile "$tmp/reorg.cpu.prof"
+if [ ! -s "$tmp/reorg.cpu.prof" ]; then
+	echo "check.sh: -cpuprofile wrote no profile" >&2
 	exit 1
 fi
-echo "BENCH_reorg.json written"
 
 echo "== bootstrap bench smoke =="
-"$tmp/bin/ebvbench" -exp ablation-bootstrap -quick -blocks 200 \
-	-datadir "$tmp/bench" -artifactdir "$tmp" >/dev/null 2>&1
-if [ ! -f "$tmp/BENCH_bootstrap.json" ]; then
-	echo "check.sh: ablation-bootstrap wrote no BENCH_bootstrap.json" >&2
-	exit 1
-fi
-echo "BENCH_bootstrap.json written"
+bench_smoke ablation-bootstrap
 
 echo "== ibd pipeline bench smoke =="
-"$tmp/bin/ebvbench" -exp ablation-ibdpipe -quick -blocks 200 \
-	-datadir "$tmp/bench" -artifactdir "$tmp" >/dev/null 2>&1
-if [ ! -f "$tmp/BENCH_ibdpipe.json" ]; then
-	echo "check.sh: ablation-ibdpipe wrote no BENCH_ibdpipe.json" >&2
-	exit 1
-fi
-echo "BENCH_ibdpipe.json written"
+bench_smoke ablation-ibdpipe
 
 echo "== status-shard bench smoke =="
 # Sweeps statusdb shard counts; the experiment itself asserts every
 # configuration's final state is byte-identical to the single-shard
 # baseline before reporting numbers.
-"$tmp/bin/ebvbench" -exp ablation-shards -quick -blocks 200 \
-	-datadir "$tmp/bench" -artifactdir "$tmp" >/dev/null 2>&1
-if [ ! -f "$tmp/BENCH_shards.json" ]; then
-	echo "check.sh: ablation-shards wrote no BENCH_shards.json" >&2
-	exit 1
-fi
-echo "BENCH_shards.json written"
-
-echo "== ingest overhead bench smoke (with CPU profile) =="
-# Exercises every ablation arm (uv-floor, probe-only, copy-decode,
-# zero-copy, unpooled scratch) and the -cpuprofile plumbing in one run.
-"$tmp/bin/ebvbench" -exp ablation-overhead -quick -blocks 200 \
-	-datadir "$tmp/bench" -artifactdir "$tmp" \
-	-cpuprofile "$tmp/overhead.cpu.prof" >/dev/null 2>&1
-if [ ! -f "$tmp/BENCH_overhead.json" ]; then
-	echo "check.sh: ablation-overhead wrote no BENCH_overhead.json" >&2
-	exit 1
-fi
-if [ ! -s "$tmp/overhead.cpu.prof" ]; then
-	echo "check.sh: -cpuprofile wrote no profile" >&2
-	exit 1
-fi
-echo "BENCH_overhead.json and CPU profile written"
+bench_smoke ablation-shards
 
 echo "== tx admission smoke (ebvload over localhost) =="
 # An admission-enabled node serves the 300-block main chain; ebvload
@@ -304,17 +291,6 @@ if grep -q '"rejected"' "$tmp/BENCH_load.json"; then
 	exit 1
 fi
 echo "ebvload admitted $admitted transactions with zero rejects"
-
-echo "== admission bench smoke =="
-# Batched admission vs one-at-a-time; the experiment itself asserts
-# every arm admits the full corpus before reporting numbers.
-"$tmp/bin/ebvbench" -exp ablation-admission -quick -blocks 200 \
-	-datadir "$tmp/bench" -artifactdir "$tmp" >/dev/null 2>&1
-if [ ! -f "$tmp/BENCH_admission.json" ]; then
-	echo "check.sh: ablation-admission wrote no BENCH_admission.json" >&2
-	exit 1
-fi
-echo "BENCH_admission.json written"
 
 echo "== compact relay smoke (two nodes, warm mempools, live mining) =="
 # A and B both import the 300-block chain, then ebvload warms both
@@ -407,40 +383,6 @@ if [ "$b_fetched" -ne 0 ] || [ "$b_fallbacks" -ne 0 ]; then
 fi
 echo "compact relay: $a_cmpct_out announced, $b_received received, $b_reconstructed reconstructed, 0 txns fetched"
 
-echo "== relay bench smoke (warm-mempool byte gate) =="
-# Two live nodes per arm; the JSON carries the acceptance gates: a
-# fully warmed receiver must fetch zero transactions, and at 95%
-# mempool overlap the compact delivery must cost under 10% of the
-# full-block bytes.
-"$tmp/bin/ebvbench" -exp ablation-relay -quick -blocks 300 \
-	-datadir "$tmp/bench" -artifactdir "$tmp" >/dev/null 2>&1
-if [ ! -f "$tmp/BENCH_relay.json" ]; then
-	echo "check.sh: ablation-relay wrote no BENCH_relay.json" >&2
-	exit 1
-fi
-relay_field() { # arm overlap field -> value
-	awk -v arm="$1" -v ov="$2" -v f="\"$3\":" '
-		/"arm":/ { a = $2; gsub(/[",]/, "", a) }
-		/"overlap_pct":/ { o = $2; gsub(/,/, "", o) }
-		index($0, f) && a == arm && o == ov { v = $2; gsub(/,/, "", v); print v; exit }
-	' "$tmp/BENCH_relay.json"
-}
-warm_fetched=$(relay_field compact 100 txns_requested)
-compact95=$(relay_field compact 95 wire_bytes)
-full95=$(relay_field full 95 wire_bytes)
-if [ -z "$warm_fetched" ] || [ "$warm_fetched" -ne 0 ]; then
-	echo "check.sh: warm receiver fetched $warm_fetched txns, want 0" >&2
-	cat "$tmp/BENCH_relay.json" >&2
-	exit 1
-fi
-if [ -z "$compact95" ] || [ -z "$full95" ] ||
-	! awk -v c="$compact95" -v f="$full95" 'BEGIN { exit !(c * 10 < f) }'; then
-	echo "check.sh: compact delivery at 95% overlap cost $compact95 B vs $full95 B full (>= 10%)" >&2
-	cat "$tmp/BENCH_relay.json" >&2
-	exit 1
-fi
-echo "compact relay: warm receiver fetched 0 txns; 95% overlap cost $compact95 B vs $full95 B full"
-
 echo "== light-tier smoke (1 full node + 50 ebvlight clients) =="
 # One serving full node imports the 300-block chain. 50 light clients
 # attach, subscribe for the stock miner address at handshake, and sync
@@ -522,17 +464,5 @@ while [ $n -le $lc_count ]; do
 	n=$((n + 1))
 done
 echo "light tier: $lc_count clients synced headers and verified the pushed block with 0 full-block downloads"
-
-echo "== light bench smoke =="
-# Serve-side fan-out cost per 1k subscribers plus the client-verify vs
-# full-IBD yardstick; the experiment hard-fails if any client records
-# a full-block download.
-"$tmp/bin/ebvbench" -exp ablation-light -quick -blocks 300 \
-	-datadir "$tmp/bench" -artifactdir "$tmp" >/dev/null 2>&1
-if [ ! -f "$tmp/BENCH_light.json" ]; then
-	echo "check.sh: ablation-light wrote no BENCH_light.json" >&2
-	exit 1
-fi
-echo "BENCH_light.json written"
 
 echo "check.sh: all checks passed"
