@@ -535,7 +535,13 @@ func runIBDEBVPipelined(src *chainstore.Store, node *EBVNode, periodLen int, pro
 	err := pipeline.Run(src, node.Chain, node.Validator, startHeight, pipeline.Config{
 		Depth:   node.pipeDepth,
 		Workers: node.pipeWorkers,
-		Progress: func(h uint64, bd *core.Breakdown) {
+		Progress: func(b *blockmodel.EBVBlock, bd *core.Breakdown) {
+			if node.Pool != nil {
+				// Evict included and conflicting transactions while b
+				// is still alive, as submit does.
+				node.Pool.BlockConnected(b)
+			}
+			h := b.Header.Height
 			cur.Breakdown.Add(bd)
 			res.Total.Add(bd)
 			if (h+1)%uint64(periodLen) == 0 || h == tip {

@@ -614,3 +614,57 @@ func TestPipelinedIBDFailsLikeSequential(t *testing.T) {
 		t.Fatalf("tips after failure: %d / %d, want 39", seqTip, pipeTip)
 	}
 }
+
+// TestPipelinedIBDEvictsPool pools a transaction that a later block of
+// the replayed chain includes, then resumes IBD: the pipelined replay
+// must evict it from the mempool exactly as block-by-block replay does.
+func TestPipelinedIBDEvictsPool(t *testing.T) {
+	const blocks, pooledAt = 140, 130
+	_, _, ebvChain := buildChains(t, blocks)
+	prefix, err := chainstore.Open(filepath.Join(t.TempDir(), "prefix"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prefix.Close()
+	for h := uint64(0); h < pooledAt; h++ {
+		raw, _ := ebvChain.BlockBytes(h)
+		hdr, _ := ebvChain.Header(h)
+		if err := prefix.Append(hdr, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := ebvChain.BlockBytes(pooledAt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	included, err := blockmodel.DecodeEBVBlock(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, depth := range []int{0, 2} {
+		n, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true, PipelineDepth: depth, Admission: &AdmissionConfig{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RunIBDEBV(prefix, n, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		pooled := 0
+		for _, tx := range included.Txs[1:] {
+			if _, err := n.Pool.Add(tx); err == nil {
+				pooled++
+			}
+		}
+		if pooled == 0 {
+			t.Fatalf("depth %d: no transaction of block %d admitted at tip %d", depth, pooledAt, pooledAt-1)
+		}
+		if _, err := RunIBDEBV(ebvChain, n, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		if got := n.Pool.Len(); got != 0 {
+			t.Errorf("depth %d: %d of %d pooled transactions left after their block connected", depth, got, pooled)
+		}
+		n.Close()
+	}
+}

@@ -64,10 +64,12 @@ type Config struct {
 	// goroutine alone.
 	Workers int
 	// Progress, when non-nil, is called after every committed block
-	// with its full (stage A + stage B) Breakdown. It runs on the
-	// consumer goroutine, in height order. It is not called for the
-	// failing block — BlockError carries that block's partial work.
-	Progress func(height uint64, bd *core.Breakdown)
+	// with the block and its full (stage A + stage B) Breakdown. It
+	// runs on the consumer goroutine, in height order. blk may alias
+	// pooled decode storage and is valid only for the duration of the
+	// call. It is not called for the failing block — BlockError
+	// carries that block's partial work.
+	Progress func(blk *blockmodel.EBVBlock, bd *core.Breakdown)
 }
 
 // BlockError reports the first failure of a pipelined run, pinned to
@@ -186,11 +188,11 @@ func Run(src Source, chain Chain, v *core.EBVValidator, start uint64, cfg Config
 			return &BlockError{Height: it.height, Breakdown: bd, Err: err}
 		}
 		bd.Other += time.Since(aw)
+		if cfg.Progress != nil {
+			cfg.Progress(it.blk, bd)
+		}
 		it.scr.Release()
 		ov.prune(it.height)
-		if cfg.Progress != nil {
-			cfg.Progress(it.height, bd)
-		}
 	}
 	return nil
 }

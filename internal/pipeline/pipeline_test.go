@@ -324,10 +324,10 @@ func TestPipelinedMatchesSequentialOnValidChain(t *testing.T) {
 			var total core.Breakdown
 			err := Run(src, d.chain, d.v, 0, Config{
 				Depth: tc.depth, Workers: tc.workers,
-				Progress: func(h uint64, bd *core.Breakdown) {
-					heights = append(heights, h)
+				Progress: func(b *blockmodel.EBVBlock, bd *core.Breakdown) {
+					heights = append(heights, b.Header.Height)
 					total.Add(bd)
-					src.commit(h)
+					src.commit(b.Header.Height)
 				},
 			})
 			if err != nil {
@@ -442,7 +442,7 @@ func TestPipelineMidStreamInvalidBlock(t *testing.T) {
 		var heights []uint64
 		err := Run(newSliceSource(raw), d.chain, d.v, 0, Config{
 			Depth: depth, Workers: 4,
-			Progress: func(h uint64, bd *core.Breakdown) { heights = append(heights, h) },
+			Progress: func(b *blockmodel.EBVBlock, bd *core.Breakdown) { heights = append(heights, b.Header.Height) },
 		})
 		var be *BlockError
 		if !errors.As(err, &be) {

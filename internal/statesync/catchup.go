@@ -3,6 +3,7 @@ package statesync
 import (
 	"time"
 
+	"ebv/internal/blockmodel"
 	"ebv/internal/core"
 	"ebv/internal/pipeline"
 )
@@ -43,8 +44,8 @@ func CatchUp(src pipeline.Source, chain pipeline.Chain, v *core.EBVValidator, de
 	err := pipeline.Run(src, chain, v, start, pipeline.Config{
 		Depth:   depth,
 		Workers: workers,
-		Progress: func(h uint64, bd *core.Breakdown) {
-			res.EndHeight = h
+		Progress: func(b *blockmodel.EBVBlock, bd *core.Breakdown) {
+			res.EndHeight = b.Header.Height
 			res.Blocks++
 			res.Breakdown.Add(bd)
 		},

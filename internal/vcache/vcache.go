@@ -14,13 +14,23 @@
 // root) produces a different key and therefore a miss — there is
 // nothing an adversary can poison. Negative results are never cached.
 //
+// The set holds no pointers per entry. Each shard keeps its keys in
+// one slab, links their LRU order with uint32 slot numbers, and finds
+// a key's slot through an open-addressed uint32 index (linear probing,
+// backward-shift deletion) hashed with a per-cache random seed, so a
+// peer that grinds proof bytes cannot aim keys at one probe chain.
+// All three arrays grow by doubling up to the shard's capacity: 48
+// bytes per entry when full (32 key, 8 links, 8 index), about a hundred
+// bytes per shard when empty, and nothing for the garbage collector to
+// scan.
+//
 // Bitcoin Core's signature cache plays the same role on the
 // relay-to-block path; here the cached unit is the whole per-input
 // proof check, which EBV makes self-contained.
 package vcache
 
 import (
-	"container/list"
+	"hash/maphash"
 	"sync"
 	"sync/atomic"
 )
@@ -33,13 +43,20 @@ const KeySize = 32
 type Key [KeySize]byte
 
 // DefaultCapacity is the entry bound used when New is given none.
-// At 32 bytes per key (plus map/list overhead) this is a few MiB.
+// At about 48 bytes per entry once full (32 key, 8 LRU links, 8 index)
+// this is 3 MiB.
 const DefaultCapacity = 1 << 16
 
 // shardCount stripes the lock. Keys are uniform digests, so the first
 // byte balances the shards; 16 stripes keep contention negligible at
 // any plausible worker count.
 const shardCount = 16
+
+// noSlot terminates the LRU links.
+const noSlot = ^uint32(0)
+
+// minGrow is the first allocation of a shard's slab and index.
+const minGrow = 8
 
 // Cache is a bounded LRU set of verified-proof keys. Safe for
 // concurrent use.
@@ -51,39 +68,52 @@ type Cache struct {
 	evictions atomic.Uint64
 }
 
+// shard is one lock stripe: an exact LRU over at most cap keys.
+// Slot i holds keys[i], linked to its neighbours in recency order by
+// links[i]; index maps a key's hash to slot+1 (0 marks an empty
+// bucket) and is kept at most half full.
 type shard struct {
 	mu    sync.Mutex
+	seed  maphash.Seed
 	cap   int
-	items map[Key]*list.Element
-	order *list.List // front = most recently seen; values are Key
+	keys  []Key
+	links []link
+	head  uint32 // most recently seen slot
+	tail  uint32 // least recently seen slot
+	index []uint32
 }
 
+type link struct{ prev, next uint32 }
+
 // New creates a cache bounded at capacity entries in total across all
-// shards; capacity <= 0 selects DefaultCapacity.
+// shards; capacity <= 0 selects DefaultCapacity. Storage is allocated
+// as keys arrive.
 func New(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
 	per := (capacity + shardCount - 1) / shardCount
+	seed := maphash.MakeSeed()
 	c := &Cache{}
 	for i := range c.shards {
-		c.shards[i].cap = per
-		c.shards[i].items = make(map[Key]*list.Element)
-		c.shards[i].order = list.New()
+		s := &c.shards[i]
+		s.seed, s.cap = seed, per
+		s.head, s.tail = noSlot, noSlot
 	}
 	return c
 }
 
-func (c *Cache) shard(k Key) *shard { return &c.shards[int(k[0])%shardCount] }
+func (c *Cache) shard(k *Key) *shard { return &c.shards[int(k[0])%shardCount] }
 
 // Contains reports whether k was added and not yet evicted, bumping
 // its recency and the hit/miss counters. The lookup allocates nothing.
 func (c *Cache) Contains(k Key) bool {
-	s := c.shard(k)
+	s := c.shard(&k)
+	h := s.hash(&k)
 	s.mu.Lock()
-	el, ok := s.items[k]
+	_, slot, ok := s.find(&k, h)
 	if ok {
-		s.order.MoveToFront(el)
+		s.touch(slot)
 	}
 	s.mu.Unlock()
 	if ok {
@@ -97,25 +127,132 @@ func (c *Cache) Contains(k Key) bool {
 // Add records k as verified, evicting the least-recently-seen key of
 // its shard when full. Adding an existing key only bumps its recency.
 func (c *Cache) Add(k Key) {
-	s := c.shard(k)
+	s := c.shard(&k)
+	h := s.hash(&k)
 	s.mu.Lock()
-	if el, ok := s.items[k]; ok {
-		s.order.MoveToFront(el)
+	if _, slot, ok := s.find(&k, h); ok {
+		s.touch(slot)
 		s.mu.Unlock()
 		return
 	}
-	evicted := uint64(0)
-	for s.order.Len() >= s.cap {
-		back := s.order.Back()
-		s.order.Remove(back)
-		delete(s.items, back.Value.(Key))
-		evicted++
+	var slot uint32
+	evicted := len(s.keys) == s.cap
+	if evicted {
+		// Reuse the least recently seen slot in place.
+		slot = s.tail
+		pos, _, _ := s.find(&s.keys[slot], s.hash(&s.keys[slot]))
+		s.unindex(pos)
+		s.unlink(slot)
+		s.keys[slot] = k
+	} else {
+		// Resize the index while it covers only live slots: the new
+		// slot's key is not written yet.
+		if 2*(len(s.keys)+1) > len(s.index) {
+			s.reindex(max(minGrow, 2*len(s.index)))
+		}
+		slot = uint32(len(s.keys))
+		s.keys = appendGrow(s.keys, k, s.cap)
+		s.links = appendGrow(s.links, link{}, s.cap)
 	}
-	s.items[k] = s.order.PushFront(k)
+	pos, _, _ := s.find(&k, h)
+	s.index[pos] = slot + 1
+	s.pushFront(slot)
 	s.mu.Unlock()
-	if evicted > 0 {
-		c.evictions.Add(evicted)
+	if evicted {
+		c.evictions.Add(1)
 	}
+}
+
+// appendGrow appends v, doubling the backing array when full but never
+// past limit elements.
+func appendGrow[T any](a []T, v T, limit int) []T {
+	if len(a) == cap(a) {
+		grown := make([]T, len(a), min(max(minGrow, 2*cap(a)), limit))
+		copy(grown, a)
+		a = grown
+	}
+	return append(a, v)
+}
+
+// hash is k's index hash; its low bits pick k's home bucket. The seed
+// never changes, so callers hash before taking the lock.
+func (s *shard) hash(k *Key) uint64 { return maphash.Bytes(s.seed, k[:]) }
+
+// find probes the index for k, whose hash is h, returning k's bucket
+// and slot when present, else the empty bucket where k would go.
+func (s *shard) find(k *Key, h uint64) (pos, slot uint32, ok bool) {
+	if len(s.index) == 0 {
+		return 0, 0, false
+	}
+	mask := uint32(len(s.index) - 1)
+	for pos = uint32(h) & mask; ; pos = (pos + 1) & mask {
+		e := s.index[pos]
+		if e == 0 {
+			return pos, 0, false
+		}
+		if s.keys[e-1] == *k {
+			return pos, e - 1, true
+		}
+	}
+}
+
+// unindex empties bucket pos and shifts later members of its probe run
+// back, so every key stays reachable from its home bucket without
+// tombstones.
+func (s *shard) unindex(pos uint32) {
+	mask := uint32(len(s.index) - 1)
+	for next := (pos + 1) & mask; s.index[next] != 0; next = (next + 1) & mask {
+		// The entry at next may fill the hole at pos only if pos lies
+		// on its probe path, i.e. between its home and next.
+		home := uint32(s.hash(&s.keys[s.index[next]-1])) & mask
+		if (next-home)&mask >= (next-pos)&mask {
+			s.index[pos] = s.index[next]
+			pos = next
+		}
+	}
+	s.index[pos] = 0
+}
+
+// reindex replaces the index with an empty one of n buckets (a power
+// of two) and re-inserts every live slot.
+func (s *shard) reindex(n int) {
+	s.index = make([]uint32, n)
+	for i := range s.keys {
+		pos, _, _ := s.find(&s.keys[i], s.hash(&s.keys[i]))
+		s.index[pos] = uint32(i) + 1
+	}
+}
+
+// touch marks slot as the most recently seen.
+func (s *shard) touch(slot uint32) {
+	if s.head != slot {
+		s.unlink(slot)
+		s.pushFront(slot)
+	}
+}
+
+func (s *shard) unlink(slot uint32) {
+	l := s.links[slot]
+	if l.prev == noSlot {
+		s.head = l.next
+	} else {
+		s.links[l.prev].next = l.next
+	}
+	if l.next == noSlot {
+		s.tail = l.prev
+	} else {
+		s.links[l.next].prev = l.prev
+	}
+}
+
+func (s *shard) pushFront(slot uint32) {
+	s.links[slot] = link{prev: noSlot, next: s.head}
+	if s.head == noSlot {
+		s.tail = slot
+	} else {
+		s.links[s.head].prev = slot
+	}
+	s.head = slot
 }
 
 // Len returns the number of cached keys.
@@ -124,7 +261,7 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += len(s.items)
+		n += len(s.keys)
 		s.mu.Unlock()
 	}
 	return n
@@ -136,17 +273,6 @@ type Stats struct {
 	Misses    uint64
 	Evictions uint64
 	Size      int
-}
-
-// ResetStats zeroes the hit/miss/eviction counters without touching
-// the cached keys. Benchmarks use it to scope the counters to a
-// measurement window; without it, counters accumulated during a warm-up
-// replay would be misattributed to the window (the classic symptom:
-// evictions far exceeding the window's entire cache traffic).
-func (c *Cache) ResetStats() {
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.evictions.Store(0)
 }
 
 // Stats snapshots the hit/miss/eviction counters and current size.

@@ -44,6 +44,11 @@ go test -race -count=5 -run 'TestPipelineEquivalence|TestPipelineFailureDetermin
 	./internal/core
 go test -race -count=5 -run 'TestVerifyBlock' ./internal/light
 
+echo "== verified-proof cache loop (reference LRU, -race) =="
+# The cache's index and LRU links are hand-managed slot arrays; pin
+# them to a container/list model and hammer them from many goroutines.
+go test -race -count=20 -run 'TestConcurrentUse|TestMatchesReferenceLRU' ./internal/vcache
+
 echo "== allocation gate (warm ingest path) =="
 # The zero-alloc tests carry a !race build tag (race instrumentation
 # skews allocation accounting), so the -race pass above never sees
@@ -51,6 +56,10 @@ echo "== allocation gate (warm ingest path) =="
 go test -run 'TestWarmAdmissionAllocBudget|TestWarmDecodeZeroAllocs|TestWarmConnectAllocBudget' \
 	./internal/core/
 go test -run 'TestScratchBuffersSteadyStateZeroAllocs' ./internal/ingest/
+# The verified-proof cache: at most 56 B per entry when full, almost
+# nothing before the first Add, and no allocation on Contains or on an
+# Add that reuses an evicted slot.
+go test -run 'TestFullCacheHeapBudget|TestNewIsLazy|TestSteadyStateZeroAllocs' ./internal/vcache/
 # Peer writers encode frames in place in their bufio.Writer.
 go test -run 'TestWriteFrameZeroAllocs' ./internal/p2p/wire/
 # -benchmem regression gate: the warm decode+connect cycle must stay
