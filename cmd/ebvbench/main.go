@@ -39,7 +39,6 @@ func main() {
 		workers  = flag.Int("workers", 0, "override worker counts swept by ablation-parallel (0 = {1,2,4,NumCPU})")
 		vcache   = flag.Int("vcache", 0, "verified-proof cache entries for every EBV node (0 disables)")
 		depth    = flag.Int("depth", 0, "cross-block IBD pipeline depth for every EBV node (0 disables; ablation-ibdpipe sweeps its own depths)")
-		shards   = flag.Int("shards", 0, "status-database shard count for every EBV node (0 = statusdb default; ablation-shards sweeps its own counts)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
 	)
@@ -85,9 +84,6 @@ func main() {
 	}
 	if *depth > 0 {
 		opts.PipelineDepth = *depth
-	}
-	if *shards > 0 {
-		opts.StatusShards = *shards
 	}
 
 	if *cpuProf != "" {

@@ -53,7 +53,6 @@ func main() {
 		workers   = flag.Int("workers", 1, "parallel proof-verification workers per block (>1 enables the pipeline)")
 		depth     = flag.Int("depth", 0, "cross-block pipeline depth for -import replay: how many future blocks may preverify ahead of the commit (0 disables)")
 		vcache    = flag.Int("vcache", 1<<16, "verified-proof cache entries (0 disables); relayed blocks whose proofs were already verified skip EV and SV")
-		shards    = flag.Int("shards", 0, "status-database shard count, rounded up to a power of two (0 = default)")
 		fastsync  = flag.Bool("fastsync", false, "bootstrap from the -connect peers via state-sync snapshots before gossiping")
 		trustGen  = flag.String("trustgenesis", "", "hex genesis header hash a fast-sync snapshot must build on (anchor for an empty datadir)")
 		minBits   = flag.Uint("minbits", 0, "minimum per-header proof-of-work bits a fast-sync snapshot must declare")
@@ -85,7 +84,7 @@ func main() {
 	}
 
 	nodeCfg := node.Config{
-		Dir: *dataDir, Optimize: true, StatusShards: *shards,
+		Dir: *dataDir, Optimize: true,
 		ParallelValidation: *workers, VerifyCacheSize: *vcache,
 		PipelineDepth: *depth,
 	}

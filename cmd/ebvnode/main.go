@@ -34,7 +34,6 @@ func main() {
 		workers  = flag.Int("workers", 1, "parallel proof-verification workers per block (ebv mode; >1 enables the pipeline)")
 		depth    = flag.Int("depth", 0, "cross-block pipeline depth: how many future blocks may preverify ahead of the commit (ebv mode; 0 disables)")
 		vcache   = flag.Int("vcache", 0, "verified-proof cache entries (ebv mode; 0 disables)")
-		shards   = flag.Int("shards", 0, "status-database shard count, rounded up to a power of two (ebv mode; 0 = default)")
 		fastsync = flag.String("fastsync", "", "comma-separated peer addresses to fast-bootstrap from (ebv mode; -chain then replays any remaining blocks)")
 		trustGen = flag.String("trustgenesis", "", "hex genesis header hash a fast-sync snapshot must build on (anchor for an empty datadir)")
 		minBits  = flag.Uint("minbits", 0, "minimum per-header proof-of-work bits a fast-sync snapshot must declare")
@@ -77,7 +76,7 @@ func main() {
 	switch *mode {
 	case "ebv":
 		cfg := node.Config{
-			Dir: *dataDir, Optimize: true, StatusShards: *shards,
+			Dir: *dataDir, Optimize: true,
 			ParallelValidation: *workers, VerifyCacheSize: *vcache,
 			PipelineDepth: *depth,
 		}

@@ -134,12 +134,6 @@ var OpenChainStore = chainstore.Open
 // behind NodeConfig instead.
 type StatusDB = statusdb.DB
 
-// NewShardedStatusDB creates a bit-vector set striped over the given
-// number of shards (rounded up to a power of two; 0 = default) so
-// commits, probes, and snapshot exports from different goroutines
-// contend per shard instead of on one lock.
-var NewShardedStatusDB = statusdb.NewSharded
-
 // NewStatusDB creates a bit-vector set (optimize = the paper's
 // sparse-vector encoding).
 var NewStatusDB = statusdb.New

@@ -15,7 +15,7 @@
 //     most Config.BatchWindow, whichever fills first.
 //  3. Verification: the backend validates the whole batch at once —
 //     EV+SV fan out across the worker pool, and every input of every
-//     transaction lands in one shard-grouped Unspent Validation probe
+//     transaction lands in one batched Unspent Validation probe
 //     (core.ValidateTxsBatch).
 //  4. Commit: survivors enter the mempool in submission order under a
 //     single lock acquisition (mempool.Pool.CommitBatch), where

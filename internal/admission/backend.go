@@ -44,7 +44,7 @@ func (s *ebvSub) ID() hashx.Hash { return s.id }
 
 // EBVBackend runs batched admission for an EBV node: one
 // core.ValidateTxsBatch call per batch (EV+SV across the worker pool,
-// one shard-grouped UV probe), then one mempool.Pool.CommitBatch for
+// one batched UV probe), then one mempool.Pool.CommitBatch for
 // the survivors.
 type EBVBackend struct {
 	Pool      *mempool.Pool

@@ -75,10 +75,6 @@ type Options struct {
 	// cross-block pipeline at that depth; ablation-ibdpipe sweeps its
 	// own depths regardless. 0 keeps one-block-at-a-time replay.
 	PipelineDepth int
-	// StatusShards, when > 0, runs every EBV node's status database
-	// with that shard count (statusdb.NewSharded); ablation-shards
-	// sweeps its own counts regardless. 0 keeps the statusdb default.
-	StatusShards int
 	// ArtifactDir is where experiments that emit machine-readable
 	// results (BENCH_<id>.json, see Env.emit) write them. Default "."
 	// (the current directory).
@@ -278,7 +274,6 @@ func (e *Env) EBVNodeConfig(dir string) node.Config {
 	return node.Config{
 		Dir:                dir,
 		Optimize:           true,
-		StatusShards:       e.Opts.StatusShards,
 		Scheme:             e.Opts.Scheme(),
 		ParallelValidation: e.Opts.Workers,
 		VerifyCacheSize:    e.Opts.VerifyCache,

@@ -253,7 +253,7 @@ func TestEverythingIncludesAblations(t *testing.T) {
 func TestExperimentIDsDocumented(t *testing.T) {
 	retired := map[string]bool{
 		"ablation-cache": true, "ablation-admission": true, "ablation-relay": true,
-		"ablation-light": true, "ablation-overhead": true,
+		"ablation-light": true, "ablation-overhead": true, "ablation-shards": true,
 	}
 	registered := map[string]bool{}
 	for _, ex := range Experiments() {

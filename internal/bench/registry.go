@@ -33,7 +33,6 @@ func Experiments() []Experiment {
 		{"ablation-bootstrap", "Joining node: full IBD vs fast-bootstrap state sync", (*Env).AblationBootstrap},
 		{"ablation-ibdpipe", "Cross-block pipelined IBD vs depth and workers", (*Env).AblationIBDPipe},
 		{"ablation-reorg", "Reorg cost vs depth: EBV body restores vs baseline undo records", (*Env).AblationReorg},
-		{"ablation-shards", "Status-database shard count: commit, probe, and snapshot-export scaling", (*Env).AblationShards},
 		{"related-proofs", "Proof size/churn: EBV vs accumulator designs", (*Env).RelatedProofs},
 		{"net-ibd", "Networked IBD over the gossip protocol", (*Env).NetIBD},
 	}

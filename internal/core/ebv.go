@@ -128,10 +128,9 @@ func (v *EBVValidator) evInput(body *txmodel.InputBody) (*txmodel.TxOut, error) 
 // (in collectSpends order) or one admission batch (in submission
 // order). Nothing mutates the status database between the probes and
 // the reduce that reads them, so probing everything up front in one
-// batch (grouped per shard, probed concurrently for large batches)
-// returns exactly what per-input IsUnspent calls at scan time would;
-// check surfaces each verdict as a UV error, preserving error selection
-// input for input.
+// batch (under one read lock) returns exactly what per-input IsUnspent
+// calls at scan time would; check surfaces each verdict as a UV error,
+// preserving error selection input for input.
 type uvProbes struct {
 	spends []statusdb.Spend
 	res    []statusdb.ProbeResult
@@ -172,10 +171,10 @@ func collectSpends(b *blockmodel.EBVBlock, s *ingest.Scratch) []statusdb.Spend {
 	return spends
 }
 
-// probeUV runs the block's batched Unspent Validation — one shard-
-// grouped batch for the whole block instead of one lock round trip
-// per input — charging the probe pass to the UV counter. With a
-// scratch, the result buffer is recycled across blocks.
+// probeUV runs the block's batched Unspent Validation — one batch
+// for the whole block instead of one lock round trip per input —
+// charging the probe pass to the UV counter. With a scratch, the
+// result buffer is recycled across blocks.
 func (v *EBVValidator) probeUV(spends []statusdb.Spend, bd *Breakdown, s *ingest.Scratch) uvProbes {
 	w := newStopwatch()
 	var res []statusdb.ProbeResult

@@ -13,8 +13,8 @@ import (
 // verification core of the admission service (internal/admission),
 // and ValidateTx, a batch of one. It runs block connect's stages on
 // independently submitted transactions: verifyTx on up to workers
-// goroutines, one task per transaction; one shard-grouped status-
-// database probe for the Unspent Validation of every input of every
+// goroutines, one task per transaction; one batched status-database
+// probe for the Unspent Validation of every input of every
 // transaction; then an ordered reduce per transaction that does not
 // commit.
 

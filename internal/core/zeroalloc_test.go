@@ -15,9 +15,8 @@ import (
 )
 
 // warmAdmissionAllocs is the allocation budget of one warm admission
-// batch: the verdict slice, the verify stage's task closure, and the
-// status database's per-probe shard closure.
-const warmAdmissionAllocs = 3
+// batch: the verdict slice and the verify stage's task closure.
+const warmAdmissionAllocs = 2
 
 // TestWarmAdmissionAllocBudget pins the allocation contract of batch
 // admission: once every input's proof is in the verified-proof cache

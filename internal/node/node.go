@@ -51,9 +51,10 @@ type Config struct {
 	// Optimize enables EBV's sparse-vector optimization (default via
 	// NewEBVNode is on; the Fig. 14 ablation turns it off).
 	Optimize bool
-	// StatusShards is the status database's shard count, rounded up
-	// to a power of two (statusdb.NewSharded). 0 picks the default;
-	// 1 degrades to the single-lock layout.
+	// StatusShards is kept only so existing configurations compile;
+	// nothing reads it.
+	//
+	// Deprecated: ignored — the status database has one lock.
 	StatusShards int
 	// ParallelValidation, when > 1, runs the full EBV proof-
 	// verification pipeline — consistency, sighash, EV and SV — on
@@ -299,7 +300,7 @@ func NewEBVNode(cfg Config) (*EBVNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	status := statusdb.NewSharded(cfg.Optimize, cfg.StatusShards)
+	status := statusdb.New(cfg.Optimize)
 	n := &EBVNode{Chain: chain, Status: status, statusPth: filepath.Join(cfg.Dir, "status.snapshot")}
 	if err := status.LoadFile(n.statusPth); err != nil && !os.IsNotExist(err) {
 		chain.Close()

@@ -115,9 +115,9 @@ func (s *Server) SnapshotTip() (uint64, bool) {
 }
 
 // rebuildLocked exports the status set and cuts a new snapshot. The
-// export is a single consistent copy (statusdb snapshots shard
-// contents at one commit-excluded instant, then sorts and copies
-// outside all locks); the chain tip is read afterwards and must cover the
+// export is a single consistent copy (statusdb copies the set's
+// pointers under its read lock, between commits, then sorts and copies
+// outside it); the chain tip is read afterwards and must cover the
 // export tip — during normal operation status is connected before the
 // chain appends, so chainTip ∈ {statusTip-1, statusTip, ...} and a
 // brief mismatch just means we serve the previous snapshot until the

@@ -141,8 +141,7 @@ func TestDisconnectCorruptVectorFailsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt the stored vector a restore will rewrite.
-	s0 := &d.shards[d.shardIndex(0)]
-	s0.vectors[0] = []byte{0xFF}
+	d.vectors[0] = []byte{0xFF}
 	err := d.Disconnect(1, []Restore{{Height: 0, Pos: 1, NOutputs: 4}})
 	if err == nil || !strings.Contains(err.Error(), "corrupt vector at height 0") {
 		t.Fatalf("corrupt restored vector: got %v", err)
@@ -150,7 +149,7 @@ func TestDisconnectCorruptVectorFailsCleanly(t *testing.T) {
 	if tip, has := d.Tip(); !has || tip != 1 {
 		t.Fatalf("failed disconnect moved the tip: %d %v", tip, has)
 	}
-	if _, ok := d.shards[d.shardIndex(1)].vectors[1]; !ok {
+	if _, ok := d.vectors[1]; !ok {
 		t.Fatal("failed disconnect dropped the tip vector")
 	}
 
@@ -162,7 +161,7 @@ func TestDisconnectCorruptVectorFailsCleanly(t *testing.T) {
 	if err := d2.Connect(1, 2, []Spend{{Height: 0, Pos: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	d2.shards[d2.shardIndex(1)].vectors[1] = []byte{0xFF}
+	d2.vectors[1] = []byte{0xFF}
 	err = d2.Disconnect(1, []Restore{{Height: 0, Pos: 1, NOutputs: 4}})
 	if err == nil || !strings.Contains(err.Error(), "corrupt tip vector") {
 		t.Fatalf("corrupt tip vector: got %v", err)

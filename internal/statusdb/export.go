@@ -29,45 +29,32 @@ type HeightVector struct {
 }
 
 // snapshotShallow captures a consistent view of the set: the tip plus
-// every live vector's height and encoding. The consistency point
-// excludes writers (commitMu) only for a per-shard map walk — O(live
-// vectors) pointer copies, no byte copying — so a concurrent Connect
-// stalls for the walk, not for the serialization of the whole set.
+// every live vector's height and encoding. The consistency point is a
+// map walk under the read lock — O(live vectors) pointer copies, no
+// byte copying — so a concurrent commit waits at most for the walk
+// before its install, never for the serialization of the whole set.
 // The returned Enc slices are shared with the store: they stay stable
-// after the locks are released because stored encodings are immutable
+// after the lock is released because stored encodings are immutable
 // (every mutation installs a freshly allocated encoding), but callers
 // that hand them out must deep-copy first. The result is unsorted.
 func (d *DB) snapshotShallow() (tip uint64, hasTip bool, vecs []HeightVector) {
-	d.commitMu.Lock()
-	defer d.commitMu.Unlock()
-	tip, hasTip = d.tip, d.hasTip
-	n := 0
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.RLock()
-		n += len(s.vectors)
-		s.mu.RUnlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	vecs = make([]HeightVector, 0, len(d.vectors))
+	for h, enc := range d.vectors {
+		vecs = append(vecs, HeightVector{Height: h, Enc: enc})
 	}
-	vecs = make([]HeightVector, 0, n)
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.RLock()
-		for h, enc := range s.vectors {
-			vecs = append(vecs, HeightVector{Height: h, Enc: enc})
-		}
-		s.mu.RUnlock()
-	}
-	return tip, hasTip, vecs
+	return d.tip, d.hasTip, vecs
 }
 
 // ExportVectors returns a consistent copy of the set: the tip and
 // every live vector's encoding in ascending height order. The
 // consistency point is snapshotShallow's brief pointer-copy walk; no
-// concurrent Connect can interleave inside it, so the result is
+// concurrent commit can interleave inside it, so the result is
 // exactly the state at some instant — the property a snapshot server
 // needs before it signs chunk digests into a manifest — while the
-// sort and the deep copy of the encodings run outside all locks, so
-// serving snapshots no longer stalls validation.
+// sort and the deep copy of the encodings run outside the lock, so
+// serving snapshots does not stall validation.
 func (d *DB) ExportVectors() (tip uint64, ok bool, vecs []HeightVector) {
 	tip, ok, vecs = d.snapshotShallow()
 	if !ok {
@@ -139,33 +126,18 @@ func UnpackRange(data []byte, from, to uint64) ([]HeightVector, error) {
 // vector is decoded and validated before anything is touched; on
 // error the set is unchanged.
 func (d *DB) ImportVectors(tip uint64, vecs []HeightVector) error {
-	vectors := make([]map[uint64][]byte, len(d.shards))
-	acct := make([]shardAcct, len(d.shards))
-	for i := range vectors {
-		vectors[i] = make(map[uint64][]byte)
-	}
+	b := newSetBuilder()
 	for _, hv := range vecs {
 		if hv.Height > tip {
 			return fmt.Errorf("statusdb: import height %d beyond tip %d", hv.Height, tip)
 		}
-		si := d.shardIndex(hv.Height)
-		if _, dup := vectors[si][hv.Height]; dup {
-			return fmt.Errorf("statusdb: import duplicate height %d", hv.Height)
-		}
-		v, err := bitvec.Decode(hv.Enc)
-		if err != nil {
-			return fmt.Errorf("statusdb: import height %d: %v", hv.Height, err)
-		}
 		// Copy the caller's buffer: stored encodings must be immutable
 		// so snapshots can shallow-copy them safely.
-		vectors[si][hv.Height] = append([]byte(nil), hv.Enc...)
-		acct[si].mem += int64(len(hv.Enc)) + vectorOverhead
-		acct[si].dense += int64(v.DenseSize()) + vectorOverhead
-		acct[si].ones += int64(v.Ones())
+		if err := b.add(hv.Height, append([]byte(nil), hv.Enc...)); err != nil {
+			return fmt.Errorf("statusdb: import %v", err)
+		}
 	}
-	d.commitMu.Lock()
-	defer d.commitMu.Unlock()
-	d.replaceAll(vectors, acct, tip, true)
+	d.replace(b, tip, true)
 	return nil
 }
 

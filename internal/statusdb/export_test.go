@@ -20,7 +20,7 @@ func appendDigest(data []byte) []byte {
 
 // buildSet connects a few blocks with a spend pattern that leaves a
 // mix of live, partially spent, and fully spent vectors.
-func buildSet(t *testing.T) *DB {
+func buildSet(t testing.TB) *DB {
 	t.Helper()
 	d := New(true)
 	if err := d.Connect(0, 4, nil); err != nil {
@@ -40,7 +40,7 @@ func buildSet(t *testing.T) *DB {
 }
 
 // saveBytes renders the canonical Save stream for equality checks.
-func saveBytes(t *testing.T, d *DB) []byte {
+func saveBytes(t testing.TB, d *DB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := d.Save(&buf); err != nil {

@@ -6,17 +6,16 @@ import (
 	"ebv/internal/bitvec"
 )
 
-// CheckInvariants recomputes every shard's accounting from its live
-// vectors and verifies the store's structural invariants:
+// CheckInvariants recomputes the accounting from the live vectors and
+// verifies the store's structural invariants:
 //
 //   - every vector decodes, is non-empty, and has at least one 1-bit
 //     (all-zero vectors are deleted at commit; zero-output blocks
 //     never store one);
-//   - every height lives on the shard that owns its stripe and does
-//     not exceed the tip (an empty set holds no vectors at all);
-//   - each shard's memBytes/dense/ones counters equal the sums
-//     recomputed from its vectors, and the aggregate getters equal
-//     the sum over shards.
+//   - no height exceeds the tip (an empty set holds no vectors at
+//     all);
+//   - the memBytes/dense/ones counters equal the sums recomputed from
+//     the vectors, and the aggregate getters report them.
 //
 // It takes the commit mutex, so it sees a quiescent state even while
 // readers run; use it after every operation in soak tests and as a
@@ -24,77 +23,49 @@ import (
 func (d *DB) CheckInvariants() error {
 	d.commitMu.Lock()
 	defer d.commitMu.Unlock()
-	tip, hasTip := d.tip, d.hasTip
-	var totMem, totDense, totOnes int64
-	totVecs := 0
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.RLock()
-		var mem, dense, ones int64
-		var firstErr error
-		for h, enc := range s.vectors {
-			if got := d.shardIndex(h); got != i {
-				firstErr = fmt.Errorf("statusdb: invariant: height %d stored on shard %d, owned by %d", h, i, got)
-				break
-			}
-			if !hasTip {
-				firstErr = fmt.Errorf("statusdb: invariant: vector at height %d in an empty set", h)
-				break
-			}
-			if h > tip {
-				firstErr = fmt.Errorf("statusdb: invariant: height %d beyond tip %d", h, tip)
-				break
-			}
-			v, err := bitvec.Decode(enc)
-			if err != nil {
-				firstErr = fmt.Errorf("statusdb: invariant: corrupt vector at height %d: %v", h, err)
-				break
-			}
-			if v.Len() == 0 {
-				firstErr = fmt.Errorf("statusdb: invariant: zero-length vector stored at height %d", h)
-				break
-			}
-			if v.AllZero() {
-				firstErr = fmt.Errorf("statusdb: invariant: all-zero vector stored at height %d", h)
-				break
-			}
-			mem += int64(len(enc)) + vectorOverhead
-			dense += int64(v.DenseSize()) + vectorOverhead
-			ones += int64(v.Ones())
+	// Holding commitMu keeps every writer out, so the fields mu
+	// guards can be read directly.
+	var mem, dense, ones int64
+	for h, enc := range d.vectors {
+		if !d.hasTip {
+			return fmt.Errorf("statusdb: invariant: vector at height %d in an empty set", h)
 		}
-		if firstErr == nil {
-			switch {
-			case mem != s.memBytes:
-				firstErr = fmt.Errorf("statusdb: invariant: shard %d memBytes %d, recomputed %d", i, s.memBytes, mem)
-			case dense != s.dense:
-				firstErr = fmt.Errorf("statusdb: invariant: shard %d dense %d, recomputed %d", i, s.dense, dense)
-			case ones != s.ones:
-				firstErr = fmt.Errorf("statusdb: invariant: shard %d ones %d, recomputed %d", i, s.ones, ones)
-			}
+		if h > d.tip {
+			return fmt.Errorf("statusdb: invariant: height %d beyond tip %d", h, d.tip)
 		}
-		totMem += mem
-		totDense += dense
-		totOnes += ones
-		totVecs += len(s.vectors)
-		s.mu.RUnlock()
-		if firstErr != nil {
-			return firstErr
+		v, err := bitvec.Decode(enc)
+		if err != nil {
+			return fmt.Errorf("statusdb: invariant: corrupt vector at height %d: %v", h, err)
 		}
+		if v.Len() == 0 {
+			return fmt.Errorf("statusdb: invariant: zero-length vector stored at height %d", h)
+		}
+		if v.AllZero() {
+			return fmt.Errorf("statusdb: invariant: all-zero vector stored at height %d", h)
+		}
+		mem += int64(len(enc)) + vectorOverhead
+		dense += int64(v.DenseSize()) + vectorOverhead
+		ones += int64(v.Ones())
 	}
-	// The aggregate getters re-sum the per-shard counters just
-	// verified; holding commitMu keeps writers out, so they must
-	// agree with the recomputed totals.
-	if got := d.MemUsage(); got != totMem {
-		return fmt.Errorf("statusdb: invariant: MemUsage %d, recomputed %d", got, totMem)
+	switch {
+	case mem != d.memBytes:
+		return fmt.Errorf("statusdb: invariant: memBytes %d, recomputed %d", d.memBytes, mem)
+	case dense != d.dense:
+		return fmt.Errorf("statusdb: invariant: dense %d, recomputed %d", d.dense, dense)
+	case ones != d.ones:
+		return fmt.Errorf("statusdb: invariant: ones %d, recomputed %d", d.ones, ones)
 	}
-	if got := d.DenseUsage(); got != totDense {
-		return fmt.Errorf("statusdb: invariant: DenseUsage %d, recomputed %d", got, totDense)
+	if got := d.MemUsage(); got != mem {
+		return fmt.Errorf("statusdb: invariant: MemUsage %d, recomputed %d", got, mem)
 	}
-	if got := d.UnspentCount(); got != totOnes {
-		return fmt.Errorf("statusdb: invariant: UnspentCount %d, recomputed %d", got, totOnes)
+	if got := d.DenseUsage(); got != dense {
+		return fmt.Errorf("statusdb: invariant: DenseUsage %d, recomputed %d", got, dense)
 	}
-	if got := d.VectorCount(); got != totVecs {
-		return fmt.Errorf("statusdb: invariant: VectorCount %d, recomputed %d", got, totVecs)
+	if got := d.UnspentCount(); got != ones {
+		return fmt.Errorf("statusdb: invariant: UnspentCount %d, recomputed %d", got, ones)
+	}
+	if got := d.VectorCount(); got != len(d.vectors) {
+		return fmt.Errorf("statusdb: invariant: VectorCount %d, recomputed %d", got, len(d.vectors))
 	}
 	return nil
 }

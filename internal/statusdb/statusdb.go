@@ -7,33 +7,27 @@
 // optimization — so the database's memory footprint is exactly the sum
 // of the optimized encodings.
 //
-// The whole set fits comfortably in memory (that is the point of the
-// paper), but a single lock over it serializes every probe, commit,
-// and snapshot. The store is therefore sharded: heights are striped
-// across NewSharded's shard count, each shard holding its own map,
-// RWMutex, and accounting counters. Commits stage their mutations per
-// shard — concurrently for large blocks — under read locks, and only
-// after every shard validates are the write locks taken and the
-// staged entries applied, so the all-or-nothing failure contract of
-// the unsharded store is preserved exactly.
+// The whole set is small (that is the point of the paper: tens of
+// kilobytes for the bench chains), so one sync.RWMutex guards it: the
+// height → encoding map, the accounting counters and the tip. A
+// separate commit mutex serializes the writers (Connect, Disconnect,
+// Load, ImportVectors). A commit runs in two phases. Staging validates
+// the spends and decodes the vectors they touch, in ascending height
+// order, holding only the commit mutex, so readers are not held up.
+// Then the staged vectors are encoded into one slab, and the entries
+// and the new tip are installed under one brief write lock. Staging
+// never mutates, so a commit that fails leaves the set untouched.
 //
-// Consistency model: writers (Connect, Disconnect, Load,
-// ImportVectors) are serialized by a commit mutex and never fail after
-// the first byte of state changes. Readers never block each other and
-// only contend with a writer on the shards it touches. A single probe
-// is linearizable; a batch of probes overlapping an in-flight commit
-// may observe some of its spends applied and others not (each bit
-// individually reads either the pre- or post-commit value, and the new
-// block's outputs stay invisible until the tip advances, which happens
-// last). Aggregates (MemUsage, UnspentCount, ...) sum per-shard
-// counters without a stop-the-world lock and may transiently reflect a
-// partially applied commit. Snapshots (Save, ExportVectors) are exact:
-// they exclude writers for a brief pointer-copy walk and serialize
-// outside all locks.
+// Consistency model: every read takes the lock once, so any probe —
+// single or batched — and any aggregate (MemUsage, UnspentCount, ...)
+// sees the set either before or after a whole commit, never part of
+// one. Snapshots (Save, ExportVectors) are exact: they copy pointers
+// under the read lock and serialize outside it, so exports never
+// stall a commit's staging and hold up its install only for the walk.
 //
 // Stored encodings are immutable: every mutation installs a freshly
 // allocated encoding, so a snapshot's shallow copies stay stable after
-// the locks are released. A commit preserves this by packing all of a
+// the lock is released. A commit preserves this by packing all of a
 // block's replacement encodings into one freshly allocated slab and
 // installing non-overlapping sub-slices of it; the trade-off is that a
 // replaced sub-slice keeps its slab reachable until every encoding
@@ -69,109 +63,42 @@ var (
 // header, height key) charged to MemUsage.
 const vectorOverhead = 32
 
-// Sharding parameters.
-const (
-	// DefaultShards is the shard count New uses. Equivalence is
-	// unconditional — any shard count produces byte-identical state —
-	// so the default favors multi-core probe and commit throughput.
-	DefaultShards = 8
-	// MaxShards bounds NewSharded's shard count.
-	MaxShards = 256
-	// shardShift groups runs of 1<<shardShift consecutive heights on
-	// the same shard before striping. 0 stripes adjacent heights
-	// round-robin, which spreads both a block's spends (they cluster
-	// in recent heights) and batched probes evenly.
-	shardShift = 0
-)
-
-// Work thresholds below which staging and batch probes stay on the
-// calling goroutine: fan-out costs a goroutine per shard, which only
-// pays for itself on blocks with enough spends.
-const (
-	parallelStageMin = 64
-	parallelProbeMin = 256
-)
-
 // Spend identifies one output consumed by a new block.
 type Spend struct {
 	Height uint64
 	Pos    uint32
 }
 
-// shard is one stripe of the set: its own lock, encoded-vector map,
-// and accounting counters. The padding keeps hot shards on distinct
-// cache lines.
-type shard struct {
-	mu       sync.RWMutex
-	vectors  map[uint64][]byte // height -> encoded vector (absent = fully spent)
-	memBytes int64             // sum of encoded sizes + overhead
-	dense    int64             // what the footprint would be without optimization
-	ones     int64             // unspent outputs tracked by this shard
-	_        [56]byte
-}
-
-// DB is the bit-vector set. The zero value is not usable; call New or
-// NewSharded.
+// DB is the bit-vector set. The zero value is not usable; call New.
 type DB struct {
 	optimize bool
-	mask     uint64
-	shards   []shard
-
-	// probePool recycles the per-batch shard grouping of
-	// IsUnspentBatchInto so warm probes allocate nothing.
-	probePool sync.Pool
 
 	// commitMu serializes the writers and is the consistency point
-	// for snapshots and invariant checks. Lock order: commitMu →
-	// shard locks (ascending index) → tipMu.
+	// for invariant checks. Writers may read the fields mu guards
+	// without mu, since only a writer changes them. Lock order:
+	// commitMu → mu.
 	commitMu sync.Mutex
 
 	// cs is Connect's reusable staging state; guarded by commitMu.
 	cs commitScratch
 
-	// tipMu guards tip/hasTip for readers; writers additionally hold
-	// commitMu, so they may read the tip fields without tipMu.
-	tipMu  sync.RWMutex
-	tip    uint64
-	hasTip bool
+	// mu guards the set: a writer takes it exclusively only to
+	// install a staged commit; readers take it shared.
+	mu       sync.RWMutex
+	vectors  map[uint64][]byte // height -> encoded vector (absent = fully spent)
+	memBytes int64             // sum of encoded sizes + overhead
+	dense    int64             // what the footprint would be without optimization
+	ones     int64             // unspent outputs
+	tip      uint64
+	hasTip   bool
 }
 
-// New returns an empty bit-vector set with DefaultShards shards.
-// optimize selects the paper's sparse-vector optimization; pass false
-// to measure the "EBV without optimization" ablation of Fig. 14.
-func New(optimize bool) *DB { return NewSharded(optimize, 0) }
-
-// NewSharded returns an empty bit-vector set striped over the given
-// number of shards, rounded up to a power of two in [1, MaxShards];
-// 0 selects DefaultShards. Shard count affects only concurrency —
-// state, errors, and snapshots are identical for every setting.
-func NewSharded(optimize bool, shards int) *DB {
-	n := shards
-	if n <= 0 {
-		n = DefaultShards
-	}
-	if n > MaxShards {
-		n = MaxShards
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	d := &DB{optimize: optimize, mask: uint64(p - 1), shards: make([]shard, p)}
-	for i := range d.shards {
-		d.shards[i].vectors = make(map[uint64][]byte)
-	}
-	d.probePool.New = func() any {
-		return &probeScratch{groups: make([][]int, len(d.shards))}
-	}
-	return d
+// New returns an empty bit-vector set. optimize selects the paper's
+// sparse-vector optimization; pass false to measure the "EBV without
+// optimization" ablation of Fig. 14.
+func New(optimize bool) *DB {
+	return &DB{optimize: optimize, vectors: make(map[uint64][]byte)}
 }
-
-// Shards returns the shard count the set was built with.
-func (d *DB) Shards() int { return len(d.shards) }
-
-// shardIndex maps a height to the shard that owns it.
-func (d *DB) shardIndex(h uint64) int { return int((h >> shardShift) & d.mask) }
 
 func (d *DB) encode(v *bitvec.Vector) []byte {
 	if d.optimize {
@@ -206,24 +133,16 @@ func putVec(v *bitvec.Vector) { vecPool.Put(v) }
 
 // stagedEntry is one height's validated pending mutation: the new
 // encoding (nil = delete the vector, when v is also nil) plus the
-// accounting deltas its application adds to the owning shard. Connect
-// stages the mutated vector itself (v, with its known encoded size)
-// and defers serialization to a single encode pass between staging and
-// apply; Disconnect stages final encodings directly.
+// accounting deltas its installation adds. Connect stages the mutated
+// vector itself (v, with its known encoded size) and defers
+// serialization to a single encode pass between staging and install;
+// Disconnect stages final encodings directly.
 type stagedEntry struct {
 	h                uint64
 	enc              []byte
 	v                *bitvec.Vector
 	size             int
 	mem, dense, ones int64
-}
-
-// stageErr couples a staging error with the height it failed at, so
-// error selection is deterministic (lowest failing height) no matter
-// how many shards stage concurrently or in what order they finish.
-type stageErr struct {
-	err error
-	h   uint64
 }
 
 // spendGroup is one touched height's run of spends inside the sorted
@@ -242,36 +161,14 @@ func (x *spendSorter) Less(i, j int) bool { return x.s[i].Height < x.s[j].Height
 func (x *spendSorter) Swap(i, j int)      { x.s[i], x.s[j] = x.s[j], x.s[i] }
 
 // commitScratch is Connect's reusable staging state: the sorted spend
-// copy, its height groups, the per-shard work lists, and the staged
-// entry buffers. Guarded by commitMu; reused across commits so a warm
-// connect allocates only the encode slab.
+// copy, its height groups, and the staged entries. Guarded by
+// commitMu; reused across commits so a warm connect allocates only
+// the encode slab.
 type commitScratch struct {
-	spends   []Spend
-	sorter   spendSorter
-	groups   []spendGroup
-	perShard [][]int // group indices per shard, ascending height
-	touched  []int
-	staged   [][]stagedEntry
-	errs     []stageErr
-}
-
-func (cs *commitScratch) ensure(nShards int) {
-	if len(cs.perShard) != nShards {
-		cs.perShard = make([][]int, nShards)
-		cs.staged = make([][]stagedEntry, nShards)
-		cs.errs = make([]stageErr, nShards)
-	}
-}
-
-// shardHeights splits ascending-sorted heights into per-shard work
-// lists (ascending within each shard).
-func (d *DB) shardHeights(heights []uint64) [][]uint64 {
-	perShard := make([][]uint64, len(d.shards))
-	for _, h := range heights {
-		si := d.shardIndex(h)
-		perShard[si] = append(perShard[si], h)
-	}
-	return perShard
+	spends []Spend
+	sorter spendSorter
+	groups []spendGroup
+	staged []stagedEntry
 }
 
 func sortedKeys[V any](m map[uint64]V) []uint64 {
@@ -283,87 +180,24 @@ func sortedKeys[V any](m map[uint64]V) []uint64 {
 	return keys
 }
 
-// stageShards runs fn over every shard with work — concurrently when
-// parallel is set and more than one shard is touched — and merges the
-// results. Staging is read-only (fn takes the shard's read lock), so
-// an error leaves the set untouched. When several shards fail, the
-// error at the lowest height wins: within a height fn reports its
-// first failure in input order, and exactly one shard owns a height,
-// so the selection is total and independent of scheduling.
-func (d *DB) stageShards(perShard [][]uint64, parallel bool, fn func(si int, heights []uint64) ([]stagedEntry, stageErr)) ([][]stagedEntry, error) {
-	staged := make([][]stagedEntry, len(d.shards))
-	var touched []int
-	for si := range perShard {
-		if len(perShard[si]) > 0 {
-			touched = append(touched, si)
+// install applies staged entries and moves the tip under one write
+// lock. Installation is pure writes and cannot fail; together with
+// staging never mutating, this is the two-phase structure behind the
+// all-or-nothing commit. Caller holds commitMu.
+func (d *DB) install(staged []stagedEntry, tip uint64, hasTip bool) {
+	d.mu.Lock()
+	for _, e := range staged {
+		if e.enc == nil {
+			delete(d.vectors, e.h)
+		} else {
+			d.vectors[e.h] = e.enc
 		}
+		d.memBytes += e.mem
+		d.dense += e.dense
+		d.ones += e.ones
 	}
-	errs := make([]stageErr, len(d.shards))
-	if parallel && len(touched) > 1 {
-		var wg sync.WaitGroup
-		for _, si := range touched {
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				staged[si], errs[si] = fn(si, perShard[si])
-			}(si)
-		}
-		wg.Wait()
-	} else {
-		for _, si := range touched {
-			staged[si], errs[si] = fn(si, perShard[si])
-		}
-	}
-	var first stageErr
-	for _, se := range errs {
-		if se.err != nil && (first.err == nil || se.h < first.h) {
-			first = se
-		}
-	}
-	if first.err != nil {
-		return nil, first.err
-	}
-	return staged, nil
-}
-
-// apply commits staged entries shard by shard under the write locks.
-// Application is pure writes and cannot fail; together with the
-// staging pass never mutating, this is the two-phase structure that
-// preserves the unsharded store's all-or-nothing contract.
-func (d *DB) apply(staged [][]stagedEntry) {
-	for si := range staged {
-		if len(staged[si]) == 0 {
-			continue
-		}
-		s := &d.shards[si]
-		s.mu.Lock()
-		for _, e := range staged[si] {
-			if e.enc == nil {
-				delete(s.vectors, e.h)
-			} else {
-				s.vectors[e.h] = e.enc
-			}
-			s.memBytes += e.mem
-			s.dense += e.dense
-			s.ones += e.ones
-		}
-		s.mu.Unlock()
-	}
-}
-
-// setTip publishes a new tip. The tip moves only after every shard's
-// apply: readers cannot see a block's outputs before its spends and
-// vector are fully in place. Caller holds commitMu.
-func (d *DB) setTip(tip uint64, has bool) {
-	d.tipMu.Lock()
-	d.tip, d.hasTip = tip, has
-	d.tipMu.Unlock()
-}
-
-func (d *DB) snapshotTip() (uint64, bool) {
-	d.tipMu.RLock()
-	defer d.tipMu.RUnlock()
-	return d.tip, d.hasTip
+	d.tip, d.hasTip = tip, hasTip
+	d.mu.Unlock()
 }
 
 // Connect applies one block atomically: it registers the new block's
@@ -374,13 +208,13 @@ func (d *DB) snapshotTip() (uint64, bool) {
 // invalid, the reported error is the one at the lowest height (within
 // a height, the first failing spend in input order).
 //
-// Spends are staged per shard — concurrently for large blocks — and
-// committed only after every shard validates. Staged vectors are
+// Spends are staged height by height in ascending order, so the first
+// error staging meets is the one reported. Staged vectors are
 // serialized in one batched encode pass (one slab allocation for the
-// whole block) between validation and apply, so each shard's write
-// lock is taken exactly once and held only for map/counter updates. A
-// zero-output block stores no vector at all, so "absent = fully spent"
-// holds for it from birth; it still advances the tip.
+// whole block) between validation and install, so the write lock is
+// taken once and held only for map and counter updates. A zero-output
+// block stores no vector at all, so "absent = fully spent" holds for
+// it from birth; it still advances the tip.
 func (d *DB) Connect(height uint64, nOutputs int, spends []Spend) error {
 	if nOutputs < 0 || nOutputs > bitvec.MaxLen {
 		return fmt.Errorf("%w: %d outputs at height %d", ErrOutOfRange, nOutputs, height)
@@ -395,7 +229,6 @@ func (d *DB) Connect(height uint64, nOutputs int, spends []Spend) error {
 	}
 
 	cs := &d.cs
-	cs.ensure(len(d.shards))
 	cs.spends = append(cs.spends[:0], spends...)
 	for _, s := range cs.spends {
 		if s.Height >= height {
@@ -416,55 +249,18 @@ func (d *DB) Connect(height uint64, nOutputs int, spends []Spend) error {
 		cs.groups = append(cs.groups, spendGroup{h: cs.spends[i].Height, lo: i, hi: j})
 		i = j
 	}
-	cs.touched = cs.touched[:0]
-	for si := range cs.perShard {
-		cs.perShard[si] = cs.perShard[si][:0]
-		cs.staged[si] = cs.staged[si][:0]
-		cs.errs[si] = stageErr{}
-	}
-	for gi := range cs.groups {
-		si := d.shardIndex(cs.groups[gi].h)
-		if len(cs.perShard[si]) == 0 {
-			cs.touched = append(cs.touched, si)
-		}
-		cs.perShard[si] = append(cs.perShard[si], gi)
-	}
 
-	stage := func(si int) {
-		cs.staged[si], cs.errs[si] = d.stageConnectShard(si, cs.perShard[si], cs.staged[si])
-	}
-	if len(cs.spends) >= parallelStageMin && len(cs.touched) > 1 {
-		var wg sync.WaitGroup
-		for _, si := range cs.touched {
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				stage(si)
-			}(si)
-		}
-		wg.Wait()
-	} else {
-		for _, si := range cs.touched {
-			stage(si)
+	for _, g := range cs.groups {
+		if err := d.stageSpends(g); err != nil {
+			d.releaseStaged()
+			return err
 		}
 	}
-	var first stageErr
-	for _, se := range cs.errs {
-		if se.err != nil && (first.err == nil || se.h < first.h) {
-			first = se
-		}
-	}
-	if first.err != nil {
-		d.releaseStaged()
-		return first.err
-	}
-
 	if nOutputs > 0 {
 		nv := getVec()
 		nv.ResetAllSet(nOutputs)
 		size := d.encodedSize(nv)
-		si := d.shardIndex(height)
-		cs.staged[si] = append(cs.staged[si], stagedEntry{
+		cs.staged = append(cs.staged, stagedEntry{
 			h:     height,
 			v:     nv,
 			size:  size,
@@ -475,8 +271,7 @@ func (d *DB) Connect(height uint64, nOutputs int, spends []Spend) error {
 	}
 
 	d.encodeStaged()
-	d.apply(cs.staged)
-	d.setTip(height, true)
+	d.install(cs.staged, height, true)
 	d.releaseStaged()
 	return nil
 }
@@ -484,31 +279,26 @@ func (d *DB) Connect(height uint64, nOutputs int, spends []Spend) error {
 // encodeStaged serializes every staged vector into one slab for the
 // whole block, installed as non-overlapping capacity-clamped
 // sub-slices (preserving the encoding-immutability contract). Vectors
-// return to the pool as they are encoded. Caller holds commitMu; no
-// shard locks are needed.
+// return to the pool as they are encoded. Caller holds commitMu.
 func (d *DB) encodeStaged() {
-	cs := &d.cs
+	staged := d.cs.staged
 	total := 0
-	for si := range cs.staged {
-		for i := range cs.staged[si] {
-			if cs.staged[si][i].v != nil {
-				total += cs.staged[si][i].size
-			}
+	for i := range staged {
+		if staged[i].v != nil {
+			total += staged[i].size
 		}
 	}
 	slab := make([]byte, 0, total)
-	for si := range cs.staged {
-		for i := range cs.staged[si] {
-			e := &cs.staged[si][i]
-			if e.v == nil {
-				continue
-			}
-			off := len(slab)
-			slab = d.appendEncode(slab, e.v)
-			e.enc = slab[off:len(slab):len(slab)]
-			putVec(e.v)
-			e.v = nil
+	for i := range staged {
+		e := &staged[i]
+		if e.v == nil {
+			continue
 		}
+		off := len(slab)
+		slab = d.appendEncode(slab, e.v)
+		e.enc = slab[off:len(slab):len(slab)]
+		putVec(e.v)
+		e.v = nil
 	}
 }
 
@@ -518,68 +308,60 @@ func (d *DB) encodeStaged() {
 // its lifetime. Caller holds commitMu.
 func (d *DB) releaseStaged() {
 	cs := &d.cs
-	for si := range cs.staged {
-		for i := range cs.staged[si] {
-			if v := cs.staged[si][i].v; v != nil {
-				putVec(v)
-			}
-			cs.staged[si][i] = stagedEntry{}
+	for i := range cs.staged {
+		if v := cs.staged[i].v; v != nil {
+			putVec(v)
 		}
-		cs.staged[si] = cs.staged[si][:0]
+		cs.staged[i] = stagedEntry{}
 	}
+	cs.staged = cs.staged[:0]
 }
 
-// stageConnectShard validates and stages one shard's spend groups
-// under its read lock: decode each touched vector into a pooled
-// scratch vector, clear the bits in input order, and record the
-// mutated vector (nil when fully spent) with its accounting deltas.
-// Serialization is deferred to encodeStaged.
-func (d *DB) stageConnectShard(si int, groupIdx []int, out []stagedEntry) ([]stagedEntry, stageErr) {
+// stageSpends validates and stages one height's spends: decode the
+// stored vector into a pooled scratch vector, clear the bits in input
+// order, and record the mutated vector (nil when fully spent) with its
+// accounting deltas. Serialization is deferred to encodeStaged. Caller
+// holds commitMu, which is all a read of the map needs.
+func (d *DB) stageSpends(g spendGroup) error {
 	cs := &d.cs
-	s := &d.shards[si]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, gi := range groupIdx {
-		g := cs.groups[gi]
-		h := g.h
-		enc, ok := s.vectors[h]
-		if !ok {
-			// Height below the tip with no vector: fully spent block.
-			return nil, stageErr{fmt.Errorf("%w: height %d position %d", ErrDoubleSpend, h, cs.spends[g.lo].Pos), h}
-		}
-		v := getVec()
-		if err := bitvec.DecodeInto(v, enc); err != nil {
-			putVec(v)
-			return nil, stageErr{fmt.Errorf("statusdb: corrupt vector at height %d: %v", h, err), h}
-		}
-		for _, sp := range cs.spends[g.lo:g.hi] {
-			p := sp.Pos
-			if int(p) >= v.Len() {
-				putVec(v)
-				return nil, stageErr{fmt.Errorf("%w: height %d position %d (block has %d outputs)", ErrOutOfRange, h, p, v.Len()), h}
-			}
-			if !v.Clear(int(p)) {
-				putVec(v)
-				return nil, stageErr{fmt.Errorf("%w: height %d position %d", ErrDoubleSpend, h, p), h}
-			}
-		}
-		se := stagedEntry{
-			h:     h,
-			mem:   -(int64(len(enc)) + vectorOverhead),
-			dense: -(int64(v.DenseSize()) + vectorOverhead),
-			ones:  -int64(g.hi - g.lo),
-		}
-		if v.AllZero() {
-			putVec(v)
-		} else {
-			se.v = v
-			se.size = d.encodedSize(v)
-			se.mem += int64(se.size) + vectorOverhead
-			se.dense += int64(v.DenseSize()) + vectorOverhead
-		}
-		out = append(out, se)
+	h := g.h
+	enc, ok := d.vectors[h]
+	if !ok {
+		// Height below the tip with no vector: fully spent block.
+		return fmt.Errorf("%w: height %d position %d", ErrDoubleSpend, h, cs.spends[g.lo].Pos)
 	}
-	return out, stageErr{}
+	v := getVec()
+	if err := bitvec.DecodeInto(v, enc); err != nil {
+		putVec(v)
+		return fmt.Errorf("statusdb: corrupt vector at height %d: %v", h, err)
+	}
+	for _, sp := range cs.spends[g.lo:g.hi] {
+		p := sp.Pos
+		if int(p) >= v.Len() {
+			putVec(v)
+			return fmt.Errorf("%w: height %d position %d (block has %d outputs)", ErrOutOfRange, h, p, v.Len())
+		}
+		if !v.Clear(int(p)) {
+			putVec(v)
+			return fmt.Errorf("%w: height %d position %d", ErrDoubleSpend, h, p)
+		}
+	}
+	se := stagedEntry{
+		h:     h,
+		mem:   -(int64(len(enc)) + vectorOverhead),
+		dense: -(int64(v.DenseSize()) + vectorOverhead),
+		ones:  -int64(g.hi - g.lo),
+	}
+	if v.AllZero() {
+		putVec(v)
+	} else {
+		se.v = v
+		se.size = d.encodedSize(v)
+		se.mem += int64(se.size) + vectorOverhead
+		se.dense += int64(v.DenseSize()) + vectorOverhead
+	}
+	cs.staged = append(cs.staged, se)
+	return nil
 }
 
 // IsUnspent probes one bit: the Unspent Validation primitive. A height
@@ -587,11 +369,9 @@ func (d *DB) stageConnectShard(si int, groupIdx []int, out []stagedEntry) ([]sta
 // it was deleted as fully spent or was a zero-output block that never
 // stored one — for any position. A height above the tip is an error.
 func (d *DB) IsUnspent(height uint64, pos uint32) (bool, error) {
-	tip, hasTip := d.snapshotTip()
-	s := &d.shards[d.shardIndex(height)]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return probeShard(s, tip, hasTip, height, pos)
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.probe(height, pos)
 }
 
 // ProbeResult is one spend's answer from IsUnspentBatch, with exactly
@@ -601,21 +381,10 @@ type ProbeResult struct {
 	Err     error
 }
 
-// probeScratch is the recycled shard grouping of a batch probe. Its
-// groups slices are left empty between uses (reset before Put), so a
-// fresh Get needs no clearing pass over untouched shards.
-type probeScratch struct {
-	groups  [][]int
-	touched []int
-}
-
-// IsUnspentBatch probes every spend with one lock acquisition per
-// shard visited — the per-block Unspent Validation pattern — probing
-// shards concurrently for large batches. res[i] answers spends[i]
-// exactly as IsUnspent would. All probes share one tip observation;
-// per bit, each result is the pre- or post-state of any commit the
-// batch overlaps (quiescent, the batch is a point-in-time snapshot,
-// and stage B's validator never overlaps its own commits).
+// IsUnspentBatch probes every spend under one read lock — the
+// per-block Unspent Validation pattern. res[i] answers spends[i]
+// exactly as IsUnspent would, and the whole batch sees the set before
+// or after any commit it overlaps, never part of one.
 func (d *DB) IsUnspentBatch(spends []Spend) []ProbeResult {
 	return d.IsUnspentBatchInto(spends, make([]ProbeResult, len(spends)))
 }
@@ -629,63 +398,20 @@ func (d *DB) IsUnspentBatchInto(spends []Spend, res []ProbeResult) []ProbeResult
 		res = make([]ProbeResult, len(spends))
 	}
 	res = res[:len(spends)]
-	tip, hasTip := d.snapshotTip()
-	if len(d.shards) == 1 {
-		s := &d.shards[0]
-		s.mu.RLock()
-		for i := range spends {
-			res[i].Unspent, res[i].Err = probeShard(s, tip, hasTip, spends[i].Height, spends[i].Pos)
-		}
-		s.mu.RUnlock()
-		return res
-	}
-	ps := d.probePool.Get().(*probeScratch)
-	groups, touched := ps.groups, ps.touched[:0]
+	d.mu.RLock()
 	for i := range spends {
-		si := d.shardIndex(spends[i].Height)
-		if len(groups[si]) == 0 {
-			touched = append(touched, si)
-		}
-		groups[si] = append(groups[si], i)
+		res[i].Unspent, res[i].Err = d.probe(spends[i].Height, spends[i].Pos)
 	}
-	probeGroup := func(si int) {
-		s := &d.shards[si]
-		s.mu.RLock()
-		for _, i := range groups[si] {
-			res[i].Unspent, res[i].Err = probeShard(s, tip, hasTip, spends[i].Height, spends[i].Pos)
-		}
-		s.mu.RUnlock()
-	}
-	if len(spends) >= parallelProbeMin && len(touched) > 1 {
-		var wg sync.WaitGroup
-		for _, si := range touched {
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				probeGroup(si)
-			}(si)
-		}
-		wg.Wait()
-	} else {
-		for _, si := range touched {
-			probeGroup(si)
-		}
-	}
-	for _, si := range touched {
-		groups[si] = groups[si][:0]
-	}
-	ps.touched = touched
-	d.probePool.Put(ps)
+	d.mu.RUnlock()
 	return res
 }
 
-// probeShard is the probe body; the caller holds s's read lock and s
-// must own height's stripe.
-func probeShard(s *shard, tip uint64, hasTip bool, height uint64, pos uint32) (bool, error) {
-	if !hasTip || height > tip {
+// probe is the probe body; the caller holds the read lock.
+func (d *DB) probe(height uint64, pos uint32) (bool, error) {
+	if !d.hasTip || height > d.tip {
 		return false, fmt.Errorf("%w: %d", ErrUnknownBlock, height)
 	}
-	enc, ok := s.vectors[height]
+	enc, ok := d.vectors[height]
 	if !ok {
 		return false, nil
 	}
@@ -705,10 +431,9 @@ func probeShard(s *shard, tip uint64, hasTip bool, height uint64, pos uint32) (b
 // undecodable; the caller must then consult block storage for the
 // output count.
 func (d *DB) VectorLen(height uint64) (int, bool) {
-	s := &d.shards[d.shardIndex(height)]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	enc, ok := s.vectors[height]
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	enc, ok := d.vectors[height]
 	if !ok {
 		return 0, false
 	}
@@ -721,69 +446,48 @@ func (d *DB) VectorLen(height uint64) (int, bool) {
 
 // Tip returns the highest connected height; ok is false when empty.
 func (d *DB) Tip() (uint64, bool) {
-	return d.snapshotTip()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.tip, d.hasTip
 }
 
 // MemUsage returns the set's memory footprint in bytes: the sum of the
 // (optimized) vector encodings plus fixed per-vector overhead. This is
-// the EBV line of Fig. 14. Like every aggregate below it sums
-// per-shard counters without stopping the world; concurrent with an
-// in-flight commit the sum may transiently reflect a partially
-// applied block.
+// the EBV line of Fig. 14.
 func (d *DB) MemUsage() int64 {
-	var t int64
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.RLock()
-		t += s.memBytes
-		s.mu.RUnlock()
-	}
-	return t
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.memBytes
 }
 
 // DenseUsage returns what MemUsage would be with every vector encoded
 // densely — the "EBV without optimization" line of Fig. 14.
 func (d *DB) DenseUsage() int64 {
-	var t int64
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.RLock()
-		t += s.dense
-		s.mu.RUnlock()
-	}
-	return t
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.dense
 }
 
 // VectorCount returns the number of live vectors: fully spent blocks
 // and zero-output blocks store none.
 func (d *DB) VectorCount() int {
-	n := 0
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.RLock()
-		n += len(s.vectors)
-		s.mu.RUnlock()
-	}
-	return n
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return len(d.vectors)
 }
 
 // UnspentCount returns the total number of 1-bits across all vectors —
 // the EBV equivalent of the UTXO count.
 func (d *DB) UnspentCount() int64 {
-	var t int64
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.mu.RLock()
-		t += s.ones
-		s.mu.RUnlock()
-	}
-	return t
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.ones
 }
 
 // Save writes a snapshot. Format: varint tip+1 (0 = empty), varint
 // vector count, then per vector varint height + varint len + encoding,
 // ascending by height. The consistency point is a brief pointer-copy
-// walk (snapshotShallow); serialization runs outside all locks, so a
+// walk (snapshotShallow); serialization runs outside the lock, so a
 // concurrent Connect is not blocked for the duration of the write.
 func (d *DB) Save(w io.Writer) error {
 	tip, hasTip, vecs := d.snapshotShallow()
@@ -833,11 +537,7 @@ func (d *DB) Load(r io.Reader) error {
 	if err != nil {
 		return fmt.Errorf("statusdb: load: %w", err)
 	}
-	vectors := make([]map[uint64][]byte, len(d.shards))
-	acct := make([]shardAcct, len(d.shards))
-	for i := range vectors {
-		vectors[i] = make(map[uint64][]byte)
-	}
+	b := newSetBuilder()
 	for i := uint64(0); i < count; i++ {
 		h, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -854,57 +554,66 @@ func (d *DB) Load(r io.Reader) error {
 		if _, err := io.ReadFull(br, enc); err != nil {
 			return fmt.Errorf("statusdb: load vector %d: %w", i, err)
 		}
-		v, err := bitvec.Decode(enc)
-		if err != nil {
-			return fmt.Errorf("statusdb: load vector %d: %v", i, err)
-		}
 		if tipField == 0 || h >= tipField {
 			return fmt.Errorf("statusdb: load vector %d: height %d beyond tip", i, h)
 		}
-		si := d.shardIndex(h)
-		if _, dup := vectors[si][h]; dup {
-			return fmt.Errorf("statusdb: load vector %d: duplicate height %d", i, h)
+		if err := b.add(h, enc); err != nil {
+			return fmt.Errorf("statusdb: load vector %d: %v", i, err)
 		}
-		vectors[si][h] = enc
-		acct[si].mem += int64(len(enc)) + vectorOverhead
-		acct[si].dense += int64(v.DenseSize()) + vectorOverhead
-		acct[si].ones += int64(v.Ones())
 	}
-	d.commitMu.Lock()
-	defer d.commitMu.Unlock()
 	tip := uint64(0)
 	if tipField > 0 {
 		tip = tipField - 1
 	}
-	d.replaceAll(vectors, acct, tip, tipField > 0)
+	d.replace(b, tip, tipField > 0)
 	return nil
 }
 
-// shardAcct carries one shard's accounting counters during a bulk
-// replace.
-type shardAcct struct {
+// setBuilder assembles a whole replacement set for Load and
+// ImportVectors: it validates each vector and accounts it, touching
+// nothing in the DB until replace.
+type setBuilder struct {
+	vectors          map[uint64][]byte
 	mem, dense, ones int64
 }
 
-// replaceAll swaps in a whole new state under every shard lock at
-// once, so concurrent readers see either the old set or the new one,
-// never a mix. Caller holds commitMu; locks are taken in ascending
-// index order per the package lock order.
-func (d *DB) replaceAll(vectors []map[uint64][]byte, acct []shardAcct, tip uint64, has bool) {
-	for i := range d.shards {
-		d.shards[i].mu.Lock()
+func newSetBuilder() *setBuilder {
+	return &setBuilder{vectors: make(map[uint64][]byte)}
+}
+
+// add takes ownership of enc as height h's encoding. It rejects a
+// repeated height, an encoding that does not decode canonically, and
+// a vector with no 1-bit: the set never stores one ("absent = fully
+// spent"), so accepting it would break CheckInvariants.
+func (b *setBuilder) add(h uint64, enc []byte) error {
+	if _, dup := b.vectors[h]; dup {
+		return fmt.Errorf("duplicate height %d", h)
 	}
-	for i := range d.shards {
-		s := &d.shards[i]
-		s.vectors = vectors[i]
-		s.memBytes = acct[i].mem
-		s.dense = acct[i].dense
-		s.ones = acct[i].ones
+	v, err := bitvec.Decode(enc)
+	if err != nil {
+		return fmt.Errorf("height %d: %v", h, err)
 	}
-	d.setTip(tip, has)
-	for i := len(d.shards) - 1; i >= 0; i-- {
-		d.shards[i].mu.Unlock()
+	if v.AllZero() {
+		return fmt.Errorf("height %d: vector has no unspent output", h)
 	}
+	b.vectors[h] = enc
+	b.mem += int64(len(enc)) + vectorOverhead
+	b.dense += int64(v.DenseSize()) + vectorOverhead
+	b.ones += int64(v.Ones())
+	return nil
+}
+
+// replace swaps in a built set and its tip under one write lock, so
+// concurrent readers see either the old set or the new one, never a
+// mix.
+func (d *DB) replace(b *setBuilder, tip uint64, hasTip bool) {
+	d.commitMu.Lock()
+	defer d.commitMu.Unlock()
+	d.mu.Lock()
+	d.vectors = b.vectors
+	d.memBytes, d.dense, d.ones = b.mem, b.dense, b.ones
+	d.tip, d.hasTip = tip, hasTip
+	d.mu.Unlock()
 }
 
 // Restore identifies one output whose spent bit must be re-set while
@@ -923,7 +632,9 @@ type Restore struct {
 // unchanged: every decode — including the stored vectors being
 // rewritten and the tip vector itself — happens in the staging pass,
 // before any mutation, so a corrupt vector surfaces as an error
-// rather than a mid-reorg panic or a half-applied disconnect.
+// rather than a mid-reorg panic or a half-applied disconnect. Heights
+// are staged in ascending order, so the error reported is the one at
+// the lowest height.
 func (d *DB) Disconnect(height uint64, restores []Restore) error {
 	d.commitMu.Lock()
 	defer d.commitMu.Unlock()
@@ -938,13 +649,14 @@ func (d *DB) Disconnect(height uint64, restores []Restore) error {
 		byHeight[r.Height] = append(byHeight[r.Height], r)
 	}
 
-	perShard := d.shardHeights(sortedKeys(byHeight))
-	staged, err := d.stageShards(perShard, len(restores) >= parallelStageMin,
-		func(si int, heights []uint64) ([]stagedEntry, stageErr) {
-			return d.stageDisconnectShard(si, heights, byHeight)
-		})
-	if err != nil {
-		return err
+	heights := sortedKeys(byHeight)
+	staged := make([]stagedEntry, 0, len(heights)+1)
+	for _, h := range heights {
+		se, err := d.stageRestores(h, byHeight[h])
+		if err != nil {
+			return err
+		}
+		staged = append(staged, se)
 	}
 
 	tipEntry, err := d.stageTipRemoval(height)
@@ -952,84 +664,71 @@ func (d *DB) Disconnect(height uint64, restores []Restore) error {
 		return err
 	}
 	if tipEntry != nil {
-		si := d.shardIndex(height)
-		staged[si] = append(staged[si], *tipEntry)
+		staged = append(staged, *tipEntry)
 	}
 
-	d.apply(staged)
 	if height == 0 {
-		d.setTip(0, false)
+		d.install(staged, 0, false)
 	} else {
-		d.setTip(height-1, true)
+		d.install(staged, height-1, true)
 	}
 	return nil
 }
 
-// stageDisconnectShard validates and stages one shard's restores under
-// its read lock: decode each touched vector (or rebuild a zero vector
-// for a block deleted as fully spent), re-set the bits, and record the
-// replacement encoding with its accounting deltas.
-func (d *DB) stageDisconnectShard(si int, heights []uint64, byHeight map[uint64][]Restore) ([]stagedEntry, stageErr) {
-	s := &d.shards[si]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]stagedEntry, 0, len(heights))
-	for _, h := range heights {
-		rs := byHeight[h]
-		var v *bitvec.Vector
-		hadOld := false
-		oldLen := 0
-		if enc, ok := s.vectors[h]; ok {
-			var err error
-			v, err = bitvec.Decode(enc)
-			if err != nil {
-				return nil, stageErr{fmt.Errorf("statusdb: corrupt vector at height %d: %v", h, err), h}
-			}
-			hadOld, oldLen = true, len(enc)
-		} else {
-			if rs[0].NOutputs < 0 || rs[0].NOutputs > bitvec.MaxLen {
-				return nil, stageErr{fmt.Errorf("%w: height %d declared %d outputs", ErrOutOfRange, h, rs[0].NOutputs), h}
-			}
-			v = bitvec.New(rs[0].NOutputs)
+// stageRestores validates and stages one height's restores: decode
+// the stored vector (or rebuild a zero vector for a block deleted as
+// fully spent), re-set the bits, and record the replacement encoding
+// with its accounting deltas. Caller holds commitMu.
+func (d *DB) stageRestores(h uint64, rs []Restore) (stagedEntry, error) {
+	var v *bitvec.Vector
+	hadOld := false
+	oldLen := 0
+	if enc, ok := d.vectors[h]; ok {
+		var err error
+		v, err = bitvec.Decode(enc)
+		if err != nil {
+			return stagedEntry{}, fmt.Errorf("statusdb: corrupt vector at height %d: %v", h, err)
 		}
-		for _, r := range rs {
-			if r.NOutputs != v.Len() {
-				return nil, stageErr{fmt.Errorf("%w: height %d declared %d outputs, vector has %d", ErrOutOfRange, h, r.NOutputs, v.Len()), h}
-			}
-			if int(r.Pos) >= v.Len() {
-				return nil, stageErr{fmt.Errorf("%w: height %d position %d", ErrOutOfRange, h, r.Pos), h}
-			}
-			if v.Get(int(r.Pos)) {
-				return nil, stageErr{fmt.Errorf("statusdb: restore of unspent bit %d:%d", h, r.Pos), h}
-			}
-			v.Set(int(r.Pos))
+		hadOld, oldLen = true, len(enc)
+	} else {
+		if rs[0].NOutputs < 0 || rs[0].NOutputs > bitvec.MaxLen {
+			return stagedEntry{}, fmt.Errorf("%w: height %d declared %d outputs", ErrOutOfRange, h, rs[0].NOutputs)
 		}
-		se := stagedEntry{h: h, ones: int64(len(rs))}
-		if hadOld {
-			// Setting bits never changes the length, so the dense
-			// size of the old encoding equals the staged vector's —
-			// no second decode of the stored bytes is needed (or
-			// performed) anywhere past this point.
-			se.mem -= int64(oldLen) + vectorOverhead
-			se.dense -= int64(v.DenseSize()) + vectorOverhead
-		}
-		ne := d.encode(v)
-		se.enc = ne
-		se.mem += int64(len(ne)) + vectorOverhead
-		se.dense += int64(v.DenseSize()) + vectorOverhead
-		out = append(out, se)
+		v = bitvec.New(rs[0].NOutputs)
 	}
-	return out, stageErr{}
+	for _, r := range rs {
+		if r.NOutputs != v.Len() {
+			return stagedEntry{}, fmt.Errorf("%w: height %d declared %d outputs, vector has %d", ErrOutOfRange, h, r.NOutputs, v.Len())
+		}
+		if int(r.Pos) >= v.Len() {
+			return stagedEntry{}, fmt.Errorf("%w: height %d position %d", ErrOutOfRange, h, r.Pos)
+		}
+		if v.Get(int(r.Pos)) {
+			return stagedEntry{}, fmt.Errorf("statusdb: restore of unspent bit %d:%d", h, r.Pos)
+		}
+		v.Set(int(r.Pos))
+	}
+	se := stagedEntry{h: h, ones: int64(len(rs))}
+	if hadOld {
+		// Setting bits never changes the length, so the dense size of
+		// the old encoding equals the staged vector's — no second
+		// decode of the stored bytes is needed (or performed) anywhere
+		// past this point.
+		se.mem -= int64(oldLen) + vectorOverhead
+		se.dense -= int64(v.DenseSize()) + vectorOverhead
+	}
+	ne := d.encode(v)
+	se.enc = ne
+	se.mem += int64(len(ne)) + vectorOverhead
+	se.dense += int64(v.DenseSize()) + vectorOverhead
+	return se, nil
 }
 
 // stageTipRemoval stages dropping the tip block's vector. An absent
 // tip vector (a zero-output block) stages nothing; a corrupt one is
-// an error — raised before any mutation.
+// an error — raised before any mutation. Caller holds commitMu.
 func (d *DB) stageTipRemoval(height uint64) (*stagedEntry, error) {
-	s := &d.shards[d.shardIndex(height)]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	enc, ok := s.vectors[height]
+	enc, ok := d.vectors[height]
 	if !ok {
 		return nil, nil
 	}

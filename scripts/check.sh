@@ -22,17 +22,25 @@ go vet ./...
 echo "== go test -race =="
 # Includes the statusdb randomized soak (TestStatusDBSoakInvariants,
 # which calls CheckInvariants after every operation) and the
-# concurrent sharded-commit soak — the race pass that protects the
-# sharded status database's two-phase commit and shallow snapshots.
+# concurrent commit soak — the race pass that protects the status
+# database's two-phase commit and shallow snapshots.
 go test -race ./...
 
-echo "== flake loop (concurrent soak, byte counters, peer out-queues) =="
+echo "== flake loop (concurrent soak, whole-commit reads, byte counters, peer out-queues) =="
 # The soak and byte-counter tests once failed only some of the time;
-# the out-queue tests race announcements against handshakes and stall
-# peers mid-stream. -count=20 (which also bypasses the test cache)
-# makes a reintroduced flake fail here instead of intermittently.
-go test -count=20 -run 'TestStatusDBConcurrentSoak|TestByteCounters|TestHelloFirstWhileAnnouncing|TestNeverReadingSubmitter|TestPacedBlockServingStalls|TestStalledLightSubscriberGetsDropFlag' \
+# TestBatchProbeSeesWholeCommit races batch probes and UnspentCount
+# against commits and fails only when a reader catches one half
+# applied; the out-queue tests race announcements against handshakes
+# and stall peers mid-stream. -count=20 (which also bypasses the test
+# cache) makes a reintroduced flake fail here instead of
+# intermittently.
+go test -count=20 -run 'TestStatusDBConcurrentSoak|TestBatchProbeSeesWholeCommit|TestByteCounters|TestHelloFirstWhileAnnouncing|TestNeverReadingSubmitter|TestPacedBlockServingStalls|TestStalledLightSubscriberGetsDropFlag' \
 	./internal/statusdb ./internal/p2p
+
+echo "== status database consistency loop (-race) =="
+# One lock over the status database: every probe, batch and aggregate
+# sees a whole commit or none of it, and exports never tear.
+go test -race -count=5 -run 'TestStatusDBConcurrentSoak|TestBatchProbeSeesWholeCommit' ./internal/statusdb
 
 echo "== verdict-route equivalence loop (reference model, -race) =="
 # Block connect, transaction admission and the light verifier share
@@ -60,6 +68,9 @@ go test -run 'TestScratchBuffersSteadyStateZeroAllocs' ./internal/ingest/
 # nothing before the first Add, and no allocation on Contains or on an
 # Add that reuses an evicted slot.
 go test -run 'TestFullCacheHeapBudget|TestNewIsLazy|TestSteadyStateZeroAllocs' ./internal/vcache/
+# The status database's warm commit allocates only its encode slab,
+# and a batch probe into a sized buffer nothing.
+go test -run 'TestWarmCommitAllocs' ./internal/statusdb/
 # Peer writers encode frames in place in their bufio.Writer.
 go test -run 'TestWriteFrameZeroAllocs' ./internal/p2p/wire/
 # -benchmem regression gate: the warm decode+connect cycle must stay
@@ -253,12 +264,6 @@ bench_smoke ablation-bootstrap
 
 echo "== ibd pipeline bench smoke =="
 bench_smoke ablation-ibdpipe
-
-echo "== status-shard bench smoke =="
-# Sweeps statusdb shard counts; the experiment itself asserts every
-# configuration's final state is byte-identical to the single-shard
-# baseline before reporting numbers.
-bench_smoke ablation-shards
 
 echo "== tx admission smoke (ebvload over localhost) =="
 # An admission-enabled node serves the 300-block main chain; ebvload
