@@ -102,6 +102,9 @@ echo "== fast-sync smoke (two nodes over localhost) =="
 # the same tip and unspent count as a full-IBD node over the same
 # chain.
 tmp=$(mktemp -d)
+# A backgrounded node's log is created by its shell child, which may
+# not have run yet when the listen-address loops below first poll it;
+# a missing log is polled again rather than failing under set -e.
 server_pid=""
 heavy_pid=""
 light_pid=""
@@ -137,7 +140,7 @@ server_pid=$!
 addr=""
 i=0
 while [ $i -lt 100 ]; do
-	addr=$(sed -n 's/^listening on \([^ ]*\).*/\1/p' "$tmp/server.log")
+	addr=$(sed -n 's/^listening on \([^ ]*\).*/\1/p' "$tmp/server.log" 2>/dev/null || true)
 	[ -n "$addr" ] && break
 	sleep 0.1
 	i=$((i + 1))
@@ -190,7 +193,7 @@ heavy_pid=$!
 addr=""
 i=0
 while [ $i -lt 100 ]; do
-	addr=$(sed -n 's/^listening on \([^ ]*\).*/\1/p' "$tmp/heavy.log")
+	addr=$(sed -n 's/^listening on \([^ ]*\).*/\1/p' "$tmp/heavy.log" 2>/dev/null || true)
 	[ -n "$addr" ] && break
 	sleep 0.1
 	i=$((i + 1))
@@ -277,7 +280,7 @@ admit_pid=$!
 addr=""
 i=0
 while [ $i -lt 100 ]; do
-	addr=$(sed -n 's/^listening on \([^ ]*\).*/\1/p' "$tmp/admit.log")
+	addr=$(sed -n 's/^listening on \([^ ]*\).*/\1/p' "$tmp/admit.log" 2>/dev/null || true)
 	[ -n "$addr" ] && break
 	sleep 0.1
 	i=$((i + 1))
@@ -321,7 +324,7 @@ relay_a_pid=$!
 addr=""
 i=0
 while [ $i -lt 100 ]; do
-	addr=$(sed -n 's/^listening on \([^ ]*\).*/\1/p' "$tmp/relayA.log")
+	addr=$(sed -n 's/^listening on \([^ ]*\).*/\1/p' "$tmp/relayA.log" 2>/dev/null || true)
 	[ -n "$addr" ] && break
 	sleep 0.1
 	i=$((i + 1))
@@ -337,7 +340,7 @@ relay_b_pid=$!
 addrB=""
 i=0
 while [ $i -lt 100 ]; do
-	addrB=$(sed -n 's/^listening on \([^ ]*\).*/\1/p' "$tmp/relayB.log")
+	addrB=$(sed -n 's/^listening on \([^ ]*\).*/\1/p' "$tmp/relayB.log" 2>/dev/null || true)
 	[ -n "$addrB" ] && break
 	sleep 0.1
 	i=$((i + 1))
@@ -412,7 +415,7 @@ light_srv_pid=$!
 addr=""
 i=0
 while [ $i -lt 100 ]; do
-	addr=$(sed -n 's/^listening on \([^ ]*\).*/\1/p' "$tmp/lightsrv.log")
+	addr=$(sed -n 's/^listening on \([^ ]*\).*/\1/p' "$tmp/lightsrv.log" 2>/dev/null || true)
 	[ -n "$addr" ] && break
 	sleep 0.1
 	i=$((i + 1))
