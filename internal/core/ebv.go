@@ -51,13 +51,17 @@ func WithParallelValidation(workers int) EBVOption {
 // skip the EV Merkle fold and the SV script execution. UV, duplicate-
 // spend detection, maturity, and value conservation always run live:
 // they depend on mutable chain state a past verdict cannot speak for.
-// Admission is the cache's only writer: ValidateTxsBatch (so mempool
-// admission via ValidateTx) populates it, which pre-warms block
-// validation on the relay path. Every block-connect route only probes
-// it: a block's proofs spend now-spent outputs, so their keys could
-// hit again only when a reorg reconnects the same transaction, which
-// then misses and runs the full checks (Bitcoin Core's ConnectBlock
-// likewise reads its script cache, never writes it).
+// Admission writes and commit retires. ValidateTxsBatch (so mempool
+// admission via ValidateTx) inserts the keys of the transactions it
+// admits, which pre-warms block validation on the relay path. Every
+// block-connect route probes the cache and never inserts; once a block
+// commits, the keys its inputs hit are removed: those proofs spend
+// now-spent outputs, so their keys could hit again only when a reorg
+// reconnects the same transaction, which then misses and runs the full
+// checks. Bitcoin Core's ConnectBlock likewise never writes its script
+// and signature caches, and erases each entry it hits (the erase
+// argument of its cache lookups); here the erase waits for the commit,
+// so a block that fails leaves the cache as it found it.
 func WithVerificationCache(c *vcache.Cache) EBVOption {
 	return func(v *EBVValidator) { v.vcache = c }
 }

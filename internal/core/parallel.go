@@ -11,6 +11,7 @@ import (
 	"ebv/internal/script"
 	"ebv/internal/statusdb"
 	"ebv/internal/txmodel"
+	"ebv/internal/vcache"
 )
 
 // This file implements block connect's two stages (ConnectBlockIn,
@@ -93,14 +94,21 @@ func runWorkers(workers, n int, fn func(i int) bool) {
 
 // inputVerdict is one input's worker-side result: the spent output
 // extracted by EV, the EV and SV errors (SV is skipped when EV fails —
-// there is no locking script to run), and the time each phase took on
-// its worker.
+// there is no locking script to run), the time each phase took on its
+// worker, and the verified-proof cache probe: the key, whether it was
+// probed (a cache is installed and a header stands at the body's
+// height) and whether it hit. The reduce's caller acts on the probe
+// once the verdict is final — admission inserts a missed key,
+// a committed block retires a hit one.
 type inputVerdict struct {
-	out   *txmodel.TxOut
-	evErr error
-	svErr error
-	ev    time.Duration
-	sv    time.Duration
+	out    *txmodel.TxOut
+	evErr  error
+	svErr  error
+	ev     time.Duration
+	sv     time.Duration
+	key    vcache.Key
+	probed bool
+	hit    bool
 }
 
 // txVerdict is one transaction's worker-side result. ran is false
@@ -143,15 +151,17 @@ func (tv *txVerdict) ok() bool {
 // bytes and tv, so any number of verifyTx calls on distinct verdicts
 // may run concurrently.
 //
-// admit selects transaction admission: a cache miss whose EV and SV
-// both pass inserts its key (admission is the cache's only writer;
-// block connect only probes), and no phase is timed — admission
-// reports no Breakdown, and the clock reads would be its only cost
-// beyond the checks themselves.
-func (v *EBVValidator) verifyTx(tx *txmodel.EBVTx, tv *txVerdict, admit bool) {
+// verifyTx only reads the cache: each input's key and probe outcome go
+// into its verdict, and the caller writes once the reduce has decided
+// (ValidateTxsBatch inserts a validated transaction's missed keys,
+// reduceAndConnect retires a committed block's hit ones). untimed
+// selects transaction admission, which reports no Breakdown: no phase
+// is timed, since the clock reads would be its only cost beyond the
+// checks themselves.
+func (v *EBVValidator) verifyTx(tx *txmodel.EBVTx, tv *txVerdict, untimed bool) {
 	tv.ran = true
-	var w stopwatch // off in admit mode
-	if !admit {
+	var w stopwatch // off when untimed
+	if !untimed {
 		w = newStopwatch()
 	}
 	if tx.Tidy.IsCoinbase() {
@@ -174,13 +184,13 @@ func (v *EBVValidator) verifyTx(tx *txmodel.EBVTx, tv *txVerdict, admit bool) {
 		// live-state check. A true hit additionally requires the
 		// relative index in range: an out-of-range index can never have
 		// been inserted, and EV owns that error message.
-		key, keyOK := v.cacheKey(body, sigHash)
-		if keyOK {
-			hit := v.vcache.Contains(key)
-			if hit {
-				iv.out, hit = body.SpentOutput()
+		iv.key, iv.probed = v.cacheKey(body, sigHash)
+		if iv.probed {
+			iv.hit = v.vcache.Contains(iv.key)
+			if iv.hit {
+				iv.out, iv.hit = body.SpentOutput()
 			}
-			if hit {
+			if iv.hit {
 				w.lap(&iv.ev)
 				tv.cacheHits++
 				continue
@@ -198,9 +208,6 @@ func (v *EBVValidator) verifyTx(tx *txmodel.EBVTx, tv *txVerdict, admit bool) {
 		w.lap(&iv.sv)
 		if iv.svErr != nil {
 			return
-		}
-		if admit && keyOK {
-			v.vcache.Add(key)
 		}
 	}
 }
@@ -333,7 +340,11 @@ func (v *EBVValidator) ConnectPreverified(b *blockmodel.EBVBlock, pv *Preverifie
 
 // reduceAndConnect is the stage B body: one batched UV probe over the
 // block's spends, the ordered reduce (reduceBlock), and — only if it
-// passes — the bit-vector commit.
+// passes — the bit-vector commit. A successful commit retires the
+// cache keys its inputs hit: each names a proof whose output the block
+// has just spent, so it could hit again only if a reorg reconnected
+// the same transaction, which then misses and runs the full checks. A
+// block that fails the reduce or the commit retires nothing.
 func (v *EBVValidator) reduceAndConnect(b *blockmodel.EBVBlock, pv *Preverified, s *ingest.Scratch) error {
 	bd := &pv.bd
 	uv := v.probeUV(collectSpends(b, s), bd, s)
@@ -344,6 +355,13 @@ func (v *EBVValidator) reduceAndConnect(b *blockmodel.EBVBlock, pv *Preverified,
 	// spends to apply.
 	w := newStopwatch()
 	err := v.status.Connect(b.Header.Height, bd.Outputs, uv.spends)
+	if err == nil && bd.CacheHits > 0 {
+		for i := range pv.inputs {
+			if pv.inputs[i].hit {
+				v.vcache.Remove(pv.inputs[i].key)
+			}
+		}
+	}
 	w.lap(&bd.Other)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrInvalidBlock, err)

@@ -31,12 +31,15 @@ import (
 // holds that by construction (verdicts are committed to the pool
 // before the next block connect revalidates).
 //
-// A cache miss whose EV and SV pass inserts its key into the
-// verified-proof cache, even when the input's UV verdict, which the
-// workers run ahead of, comes back negative. That is sound (a cache
-// entry asserts exactly EV+SV, never unspentness: UV always runs live)
-// and verdict-neutral (a hit and a miss report the same error when EV
-// and SV pass).
+// Admission is the only route that inserts into the verified-proof
+// cache, and it caches only transactions whose validation passes: once
+// the reduce has passed a transaction, every input key that missed is
+// inserted. A transaction validation rejects — one whose output is
+// already spent, or whose values do not balance — leaves behind no key
+// that could never hit. The pool decides after this and may still
+// refuse a validated transaction (a duplicate, a conflict, a full
+// pool); its keys stay until the LRU bound evicts them. A cache entry
+// asserts exactly EV+SV, never unspentness: UV always runs live.
 //
 // s, when non-nil, supplies the spend and probe-result buffers; it
 // must not serve another batch or block concurrently.
@@ -83,6 +86,13 @@ func (v *EBVValidator) ValidateTxsBatch(txs []*txmodel.EBVTx, workers int, s *in
 		errs[i] = reduceTx(tx, tv, &uv, idx, nextHeight)
 		if tv.scanned() {
 			idx += len(tx.Bodies)
+		}
+		if errs[i] == nil && tv.cacheMisses > 0 {
+			for bi := range tv.inputs {
+				if iv := &tv.inputs[bi]; iv.probed && !iv.hit {
+					v.vcache.Add(iv.key)
+				}
+			}
 		}
 	}
 	pv.release()

@@ -162,8 +162,8 @@ func txCorpus(t *testing.T, f *fixture) []txCase {
 // text included, at one worker and at four, with the verified-proof
 // cache off, cold, and warmed from the last block. Along the way it
 // pins the cache's admission contract: a first successful check
-// misses and inserts every input, a repeat hits, and a transaction
-// rejected by its first input's EV or SV inserts nothing.
+// misses and inserts every input, a repeat hits, and a rejected
+// transaction inserts nothing, whichever check rejects it.
 func TestTxBatchMatchesReference(t *testing.T) {
 	f := newFixture(t, 150)
 	ref := refFixture(t, f)
@@ -218,8 +218,7 @@ func TestTxBatchMatchesReference(t *testing.T) {
 						if after.Hits-before.Hits != inputs {
 							t.Fatalf("%s: warmed check must hit every input: %+v -> %+v", c.name, before, after)
 						}
-					case errors.Is(c.want, ErrMissingOutput), errors.Is(c.want, ErrScriptFailed),
-						errors.Is(c.want, ErrBadProof), errors.Is(c.want, ErrStandaloneCoinbase):
+					default:
 						if after.Size != before.Size {
 							t.Fatalf("%s: rejected check inserted %d keys", c.name, after.Size-before.Size)
 						}
@@ -231,5 +230,57 @@ func TestTxBatchMatchesReference(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestAdmissionCachesOnlyValidated pins the admission side of the
+// cache's write rule: keys are inserted only for transactions whose
+// reduce passes. A transaction the chain has already mined and a
+// value-imbalanced one both pass EV and SV on every input, yet fail
+// (their outputs are spent; their values do not balance), so neither
+// may leave a key behind, alone or batched beside an honest
+// transaction whose keys are inserted.
+func TestAdmissionCachesOnlyValidated(t *testing.T) {
+	f := newFixture(t, 150)
+	var mined, honest *txmodel.EBVTx
+	for _, tx := range f.ebv[len(f.ebv)-2].Txs[1:] {
+		if len(tx.Bodies) > 0 {
+			mined = cloneTx(t, tx)
+			break
+		}
+	}
+	if honest = spendingTx(f.lastEBV); mined == nil || honest == nil {
+		t.Skip("fixture lacks spends in its last two blocks")
+	}
+	honest = cloneTx(t, honest)
+	imbalanced := cloneTx(t, honest)
+	in, _ := imbalanced.InputSum()
+	imbalanced.Tidy.Outputs = []txmodel.TxOut{{Value: in + 1, LockScript: imbalanced.Tidy.Outputs[0].LockScript}}
+	resign(t, f, imbalanced)
+
+	v, _ := syncedEBV(t, f, WithVerificationCache(vcache.New(0)))
+	for _, c := range []struct {
+		name string
+		tx   *txmodel.EBVTx
+		want error
+	}{{"mined", mined, ErrSpentOutput}, {"imbalanced", imbalanced, ErrValueImbalance}} {
+		before := v.Cache().Stats()
+		if err := v.ValidateTx(c.tx); !errors.Is(err, c.want) {
+			t.Fatalf("%s: got %v, want %v", c.name, err, c.want)
+		}
+		after := v.Cache().Stats()
+		if after.Misses-before.Misses != uint64(len(c.tx.Bodies)) {
+			t.Fatalf("%s: must reach every input's probe: %+v -> %+v", c.name, before, after)
+		}
+		if after.Size != before.Size {
+			t.Fatalf("%s: rejected transaction inserted %d keys", c.name, after.Size-before.Size)
+		}
+	}
+	errs := v.ValidateTxsBatch([]*txmodel.EBVTx{mined, honest, imbalanced}, 2, nil)
+	if errs[0] == nil || errs[1] != nil || errs[2] == nil {
+		t.Fatalf("batch verdicts %v", errs)
+	}
+	if n := v.Cache().Len(); n != len(honest.Bodies) {
+		t.Fatalf("batch cached %d keys, want the validated transaction's %d", n, len(honest.Bodies))
 	}
 }

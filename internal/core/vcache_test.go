@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -65,19 +66,18 @@ func spendingTx(blk *blockmodel.EBVBlock) *txmodel.EBVTx {
 	return nil
 }
 
-// TestConnectNeverInsertsIntoCache pins the cache's write rule:
-// admission is its only writer, and block connect only probes. On
-// every connect route, a cold cache stays empty through the chain
-// replay and through the last block, whose every input misses. (The
-// admission side — a mempool-warmed block hitting on every input — is
-// TestCachePoisoningRejectedIdentically's closing check.)
-func TestConnectNeverInsertsIntoCache(t *testing.T) {
-	f := newFixture(t, 150)
-	routes := []struct {
-		name    string
-		opts    []EBVOption
-		connect func(v *EBVValidator, b *blockmodel.EBVBlock) (*Breakdown, error)
-	}{
+// connectRoute is one of the block-connect routes the cache rules
+// must hold on.
+type connectRoute struct {
+	name    string
+	opts    []EBVOption
+	connect func(v *EBVValidator, b *blockmodel.EBVBlock) (*Breakdown, error)
+}
+
+// connectRoutes are the sequential connect, the parallel one, and the
+// pipeline's Preverify + ConnectPreverified.
+func connectRoutes() []connectRoute {
+	return []connectRoute{
 		{"workers=1", nil, (*EBVValidator).ConnectBlock},
 		{"parallel", []EBVOption{WithParallelValidation(4)}, (*EBVValidator).ConnectBlock},
 		{"preverified", nil, func(v *EBVValidator, b *blockmodel.EBVBlock) (*Breakdown, error) {
@@ -88,7 +88,17 @@ func TestConnectNeverInsertsIntoCache(t *testing.T) {
 			return v.ConnectPreverified(b, pv, nil)
 		}},
 	}
-	for _, r := range routes {
+}
+
+// TestConnectNeverInsertsIntoCache pins the cache's write rule:
+// admission is the only route that inserts, and block connect probes
+// the cache but never inserts. On every connect route, a cold cache stays empty through
+// the chain replay and through the last block, whose every input
+// misses. (The other half of the rule, that a committed block retires
+// the keys it hit, is TestCommitRetiresCacheKeys.)
+func TestConnectNeverInsertsIntoCache(t *testing.T) {
+	f := newFixture(t, 150)
+	for _, r := range connectRoutes() {
 		t.Run(r.name, func(t *testing.T) {
 			v, _ := syncedEBV(t, f, append(r.opts, WithVerificationCache(vcache.New(0)))...)
 			if n := v.Cache().Len(); n != 0 {
@@ -105,6 +115,86 @@ func TestConnectNeverInsertsIntoCache(t *testing.T) {
 				t.Fatalf("cold connect must miss on every input: hits=%d misses=%d inputs=%d",
 					bd.CacheHits, bd.CacheMisses, bd.Inputs)
 			}
+		})
+	}
+}
+
+// TestCommitRetiresCacheKeys pins the other half of the write rule: a
+// successful commit removes the keys its inputs hit, and only a
+// successful one. On every connect route, with the last block's
+// transactions admitted through the mempool path, a variant of that
+// block with an inflated coinbase hits on every input and fails the
+// subsidy rule, leaving the cache as it was; the honest block then
+// hits on every input and leaves the cache empty. Disconnecting it and
+// connecting it again misses on every input and lands on the
+// reference state.
+func TestCommitRetiresCacheKeys(t *testing.T) {
+	f := newFixture(t, 150)
+	inflated := reencode(t, f.lastEBV)
+	inflated.Txs[0].Tidy.Outputs[0].Value++
+	rebuild(t, inflated)
+	ref := refFixture(t, f)
+	if err := ref.connect(f.lastEBV); err != nil {
+		t.Fatalf("reference honest block: %v", err)
+	}
+	inputs := f.lastEBV.TotalInputs()
+	if inputs == 0 {
+		t.Skip("last block spends nothing")
+	}
+	for _, r := range connectRoutes() {
+		t.Run(r.name, func(t *testing.T) {
+			v, status := syncedEBV(t, f, append(r.opts, WithVerificationCache(vcache.New(0)))...)
+			v.SetBlockOutputsFunc(func(h uint64) int { return f.ebv[h].TotalOutputs() })
+			warmFromMempool(t, v, f.lastEBV)
+			if n := v.Cache().Len(); n != inputs {
+				t.Fatalf("admission cached %d keys for %d inputs", n, inputs)
+			}
+
+			bd, err := r.connect(v, inflated)
+			if !errors.Is(err, ErrBadSubsidy) {
+				t.Fatalf("inflated coinbase: got %v, want %v", err, ErrBadSubsidy)
+			}
+			if bd.CacheHits != inputs {
+				t.Fatalf("failing block hit %d of %d inputs", bd.CacheHits, inputs)
+			}
+			if n := v.Cache().Len(); n != inputs {
+				t.Fatalf("a failed block left %d of %d keys", n, inputs)
+			}
+
+			bd, err = r.connect(v, f.lastEBV)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bd.CacheHits != inputs || bd.CacheMisses != 0 {
+				t.Fatalf("warmed block must hit on every input: hits=%d misses=%d inputs=%d",
+					bd.CacheHits, bd.CacheMisses, inputs)
+			}
+			if n := v.Cache().Len(); n != 0 {
+				t.Fatalf("commit left %d retired keys in the cache", n)
+			}
+
+			chain := v.headers.(*chainstore.Store)
+			if err := chain.Append(f.lastEBV.Header, f.lastEBV.Encode(nil)); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.DisconnectBlock(f.lastEBV); err != nil {
+				t.Fatal(err)
+			}
+			if err := chain.Truncate(int(f.lastEBV.Header.Height)); err != nil {
+				t.Fatal(err)
+			}
+			bd, err = r.connect(v, f.lastEBV)
+			if err != nil {
+				t.Fatalf("reconnect: %v", err)
+			}
+			if bd.CacheMisses != inputs || bd.CacheHits != 0 {
+				t.Fatalf("reconnect must miss on every input: hits=%d misses=%d inputs=%d",
+					bd.CacheHits, bd.CacheMisses, inputs)
+			}
+			if n := v.Cache().Len(); n != 0 {
+				t.Fatalf("reconnect left %d keys in the cache", n)
+			}
+			sameState(t, "reconnected", ref.status, status)
 		})
 	}
 }

@@ -171,16 +171,9 @@ func FastSync(chain *chainstore.Store, status *statusdb.DB, cfg Config) (*Result
 		return nil, err
 	}
 
-	// 4. Install: headers (idempotent from the current count), then
-	// the status set in one atomic import, then the hardened local
-	// snapshot, and only then drop the progress dir. A crash between
-	// any two steps re-runs FastSync, which finds every chunk on disk
-	// and repeats the install without touching the network.
-	for h := uint64(chain.Count()); h <= tip; h++ {
-		if err := chain.AppendHeader(manifest.Headers[h]); err != nil {
-			return nil, fmt.Errorf("statesync: install header %d: %w", h, err)
-		}
-	}
+	// 4. Validate every chunk before installing anything, so a
+	// malformed snapshot leaves the chain and the status set as they
+	// were.
 	var vecs []statusdb.HeightVector
 	for i := 0; i < total; i++ {
 		from, to := manifest.ChunkRange(uint64(i))
@@ -192,6 +185,17 @@ func FastSync(chain *chainstore.Store, status *statusdb.DB, cfg Config) (*Result
 			return nil, fmt.Errorf("statesync: chunk %d malformed: %w", i, err)
 		}
 		vecs = append(vecs, hv...)
+	}
+
+	// 5. Install: headers (idempotent from the current count), then
+	// the status set in one atomic import, then the hardened local
+	// snapshot, and only then drop the progress dir. A crash between
+	// any two steps re-runs FastSync, which finds every chunk on disk
+	// and repeats the install without touching the network.
+	for h := uint64(chain.Count()); h <= tip; h++ {
+		if err := chain.AppendHeader(manifest.Headers[h]); err != nil {
+			return nil, fmt.Errorf("statesync: install header %d: %w", h, err)
+		}
 	}
 	if err := status.ImportVectors(tip, vecs); err != nil {
 		return nil, fmt.Errorf("statesync: install vectors: %w", err)

@@ -11,9 +11,11 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"ebv/internal/bitvec"
 	"ebv/internal/blockmodel"
 	"ebv/internal/chainstore"
 	"ebv/internal/hashx"
@@ -382,6 +384,50 @@ func TestForgedChunksAloneFailSync(t *testing.T) {
 	}
 	if chain.Count() != 0 || status.VectorCount() != 0 {
 		t.Fatal("failed sync must leave state untouched")
+	}
+}
+
+// TestMalformedVectorSnapshotInstallsNothing serves a snapshot whose
+// digests are consistent (the manifest signs the chunks as served) but
+// one of whose chunks carries a vector with no 1-bit, which no status
+// set ever stores. The sync must fail before it installs anything: no
+// header reaches the chain and the status set is untouched.
+func TestMalformedVectorSnapshotInstallsNothing(t *testing.T) {
+	_, src := buildChain(t, 48)
+	tip, _ := src.TipHeight()
+	_, serverNode := newServedNode(t, src, tip+1, 8)
+	_, _, vecs := serverNode.Status.ExportVectors()
+	if len(vecs) == 0 {
+		t.Fatal("served node holds no vectors")
+	}
+	vecs[len(vecs)/2].Enc = bitvec.New(8).EncodeDense()
+	headers := make([]blockmodel.Header, tip+1)
+	for h := range headers {
+		headers[h], _ = src.Header(uint64(h))
+	}
+	m, payloads := statesync.BuildManifest(headers, vecs, 8)
+	manifest := m.Encode()
+	evil := startEvil(t, func(msg *wire.Message, _ net.Conn, w *bufio.Writer) error {
+		switch msg.Kind {
+		case wire.GetManifest:
+			return wire.Write(w, &wire.Message{Kind: wire.Manifest, Payload: manifest})
+		case wire.GetChunk:
+			return wire.Write(w, &wire.Message{Kind: wire.Chunk, Height: msg.Height, Payload: payloads[msg.Height]})
+		}
+		return nil
+	})
+
+	chain, status, dir := newClientStores(t)
+	empty := saveBytes(t, status)
+	_, err := statesync.FastSync(chain, status, clientConfig(dir, evil))
+	if err == nil || !strings.Contains(err.Error(), "malformed") {
+		t.Fatalf("a snapshot carrying an all-zero vector must fail as malformed, got %v", err)
+	}
+	if chain.Count() != 0 {
+		t.Fatalf("failed sync installed %d headers", chain.Count())
+	}
+	if !bytes.Equal(saveBytes(t, status), empty) {
+		t.Fatal("failed sync changed the status set")
 	}
 }
 

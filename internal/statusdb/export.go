@@ -90,7 +90,9 @@ func PackRange(dst []byte, vecs []HeightVector, from, to uint64) []byte {
 
 // UnpackRange parses a PackRange payload covering heights [from, to),
 // returning the live vectors it carries. Every encoding is validated
-// canonically; trailing bytes are an error.
+// canonically and must hold a 1-bit, the rule the set builder applies
+// (a fully spent vector is absent, never stored); trailing bytes are
+// an error.
 func UnpackRange(data []byte, from, to uint64) ([]HeightVector, error) {
 	var vecs []HeightVector
 	for h := from; h < to; h++ {
@@ -110,8 +112,12 @@ func UnpackRange(data []byte, from, to uint64) ([]HeightVector, error) {
 		}
 		enc := append([]byte(nil), data[:l]...)
 		data = data[l:]
-		if _, err := bitvec.Decode(enc); err != nil {
+		v, err := bitvec.Decode(enc)
+		if err != nil {
 			return nil, fmt.Errorf("statusdb: range height %d: %v", h, err)
+		}
+		if v.AllZero() {
+			return nil, fmt.Errorf("statusdb: range height %d: vector has no unspent output", h)
 		}
 		vecs = append(vecs, HeightVector{Height: h, Enc: enc})
 	}

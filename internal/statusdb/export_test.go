@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"ebv/internal/bitvec"
 	"ebv/internal/hashx"
 )
 
@@ -113,6 +114,13 @@ func TestUnpackRangeRejectsMalformed(t *testing.T) {
 	bad := PackRange(nil, []HeightVector{{Height: 0, Enc: []byte{0xEE, 0xEE}}}, 0, 1)
 	if _, err := UnpackRange(bad, 0, 1); err == nil {
 		t.Error("junk vector encoding must be rejected")
+	}
+
+	// A canonical vector with no 1-bit is never stored, so no chunk
+	// may carry one.
+	zero := PackRange(nil, []HeightVector{{Height: 0, Enc: bitvec.New(8).EncodeDense()}}, 0, 1)
+	if _, err := UnpackRange(zero, 0, 1); err == nil {
+		t.Error("all-zero vector must be rejected")
 	}
 }
 

@@ -77,3 +77,35 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		t.Fatalf("Contains: %v allocs/op", a)
 	}
 }
+
+func TestAddRemoveSteadyStateZeroAllocs(t *testing.T) {
+	// Every shard holds 64 keys; each cycle adds a fresh key and
+	// removes it again. The first pass grows each shard's slab once;
+	// Remove never gives that capacity back, so after that the
+	// 64-to-65 oscillation has nothing to allocate.
+	c := New(1 << 12)
+	keys := make([]Key, 1<<11)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	for _, k := range keys[:1<<10] {
+		c.Add(k)
+	}
+	spare := keys[1<<10:]
+	for _, k := range spare {
+		c.Add(k)
+		c.Remove(k)
+	}
+	next := 0
+	if a := testing.AllocsPerRun(1000, func() {
+		k := spare[next%len(spare)]
+		c.Add(k)
+		c.Remove(k)
+		next++
+	}); a != 0 {
+		t.Fatalf("Add+Remove: %v allocs/op", a)
+	}
+	if c.Len() != 1<<10 {
+		t.Fatalf("Len=%d, want %d", c.Len(), 1<<10)
+	}
+}

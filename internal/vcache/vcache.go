@@ -24,6 +24,13 @@
 // bytes per shard when empty, and nothing for the garbage collector to
 // scan.
 //
+// Remove retires a key whose proof can no longer hit (block connect
+// calls it for every key a committed block's inputs hit). It keeps
+// the slab dense: the shard's last slot moves into the hole, with its
+// index bucket and LRU neighbours repointed and its recency unchanged,
+// so there is no free list. Remove never reallocates: the slab keeps
+// its capacity, so a steady Add/Remove cycle allocates nothing.
+//
 // Bitcoin Core's signature cache plays the same role on the
 // relay-to-block path; here the cached unit is the whole per-input
 // proof check, which EBV makes self-contained.
@@ -253,6 +260,49 @@ func (s *shard) pushFront(slot uint32) {
 		s.links[s.head].prev = slot
 	}
 	s.head = slot
+}
+
+// Remove deletes k, if present, without touching the hit, miss or
+// eviction counters: a key whose proof's output has been spent can
+// never hit again, so its owner retires it rather than waiting for
+// capacity to push it out.
+func (c *Cache) Remove(k Key) {
+	s := c.shard(&k)
+	h := s.hash(&k)
+	s.mu.Lock()
+	if pos, slot, ok := s.find(&k, h); ok {
+		s.remove(pos, slot)
+	}
+	s.mu.Unlock()
+}
+
+// remove deletes the key in slot, indexed at bucket pos, keeping the
+// slab dense: the shard's last slot moves into the hole (its index
+// bucket and its LRU neighbours follow it; its recency does not
+// change) and the slab shrinks by one.
+func (s *shard) remove(pos, slot uint32) {
+	s.unindex(pos)
+	s.unlink(slot)
+	last := uint32(len(s.keys) - 1)
+	if slot != last {
+		lpos, _, _ := s.find(&s.keys[last], s.hash(&s.keys[last]))
+		s.index[lpos] = slot + 1
+		s.keys[slot] = s.keys[last]
+		l := s.links[last]
+		s.links[slot] = l
+		if l.prev == noSlot {
+			s.head = slot
+		} else {
+			s.links[l.prev].next = slot
+		}
+		if l.next == noSlot {
+			s.tail = slot
+		} else {
+			s.links[l.next].prev = slot
+		}
+	}
+	s.keys = s.keys[:last]
+	s.links = s.links[:last]
 }
 
 // Len returns the number of cached keys.

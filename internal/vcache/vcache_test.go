@@ -106,6 +106,7 @@ func TestConcurrentUse(t *testing.T) {
 				c.Add(k)
 				c.Contains(k)
 				c.Contains(key(i))
+				c.Remove(key(g*500 + i/2))
 			}
 		}(g)
 	}
@@ -168,10 +169,53 @@ func (m *refLRU) add(k Key) {
 	m.elems[k] = l.PushFront(k)
 }
 
+func (m *refLRU) remove(k Key) {
+	if e, ok := m.elems[k]; ok {
+		m.shards[int(k[0])%shardCount].Remove(e)
+		delete(m.elems, k)
+	}
+}
+
+// sameOrder walks every shard's LRU links both ways and checks them
+// against the reference's recency order, so a slot moved by Remove's
+// compaction must keep its place.
+func sameOrder(t *testing.T, c *Cache, m *refLRU, op int) {
+	t.Helper()
+	for i := range c.shards {
+		s := &c.shards[i]
+		l := m.shards[i]
+		if len(s.keys) != l.Len() {
+			t.Fatalf("op %d: shard %d holds %d keys, reference %d", op, i, len(s.keys), l.Len())
+		}
+		e := l.Front()
+		for slot := s.head; slot != noSlot; slot = s.links[slot].next {
+			if e == nil || s.keys[slot] != e.Value.(Key) {
+				t.Fatalf("op %d: shard %d recency order diverges from the reference", op, i)
+			}
+			e = e.Next()
+		}
+		if e != nil {
+			t.Fatalf("op %d: shard %d forward walk ends early", op, i)
+		}
+		e = l.Back()
+		for slot := s.tail; slot != noSlot; slot = s.links[slot].prev {
+			if e == nil || s.keys[slot] != e.Value.(Key) {
+				t.Fatalf("op %d: shard %d backward links diverge from the reference", op, i)
+			}
+			e = e.Prev()
+		}
+		if e != nil {
+			t.Fatalf("op %d: shard %d backward walk ends early", op, i)
+		}
+	}
+}
+
 func TestMatchesReferenceLRU(t *testing.T) {
 	// Per-shard caps 1, 7 and 4096. Keys land in two shards so the
 	// largest cap still evicts within a short run; the key universe is
-	// half again the room those shards have.
+	// half again the room those shards have. A random mix of Contains,
+	// Add and Remove is followed by removing every key and refilling
+	// the shards.
 	for _, capacity := range []int{shardCount, 7*shardCount - 3, DefaultCapacity} {
 		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(capacity)))
@@ -182,28 +226,74 @@ func TestMatchesReferenceLRU(t *testing.T) {
 				universe[i][0] = byte(i % 2 * 5)
 			}
 			c, m := New(capacity), newRefLRU(capacity)
-			ops := 6 * len(universe)
-			for op := 0; op < ops; op++ {
-				k := universe[rng.Intn(len(universe))]
-				if rng.Intn(2) == 0 {
-					if got, want := c.Contains(k), m.contains(k); got != want {
-						t.Fatalf("op %d: Contains=%v, reference %v", op, got, want)
-					}
-				} else {
-					c.Add(k)
-					m.add(k)
-				}
+			check := func(op int) {
 				if got, want := c.Len(), len(m.elems); got != want {
 					t.Fatalf("op %d: Len=%d, reference %d", op, got, want)
 				}
 				if got := c.evictions.Load(); got != m.evictions {
 					t.Fatalf("op %d: Evictions=%d, reference %d", op, got, m.evictions)
 				}
+				if per <= 64 || op%1021 == 0 {
+					sameOrder(t, c, m, op)
+				}
+			}
+			ops := 6 * len(universe)
+			for op := 0; op < ops; op++ {
+				k := universe[rng.Intn(len(universe))]
+				switch rng.Intn(8) {
+				case 0, 1, 2:
+					if got, want := c.Contains(k), m.contains(k); got != want {
+						t.Fatalf("op %d: Contains=%v, reference %v", op, got, want)
+					}
+				case 3, 4, 5, 6:
+					c.Add(k)
+					m.add(k)
+				default:
+					c.Remove(k)
+					m.remove(k)
+				}
+				check(op)
 			}
 			if m.evictions == 0 {
 				t.Fatal("run never evicted")
 			}
+			sameOrder(t, c, m, ops)
+
+			for i, j := range rng.Perm(len(universe)) {
+				c.Remove(universe[j])
+				m.remove(universe[j])
+				check(ops + i)
+			}
+			if c.Len() != 0 {
+				t.Fatalf("Len=%d after removing every key", c.Len())
+			}
+			for i, j := range rng.Perm(len(universe)) {
+				c.Add(universe[j])
+				m.add(universe[j])
+				check(ops + len(universe) + i)
+			}
+			sameOrder(t, c, m, ops+2*len(universe))
+			for _, k := range universe {
+				if got, want := c.Contains(k), m.contains(k); got != want {
+					t.Fatalf("refill: Contains=%v, reference %v", got, want)
+				}
+			}
 		})
+	}
+}
+
+func TestRemove(t *testing.T) {
+	c := New(64)
+	c.Add(key(1))
+	c.Add(key(2))
+	c.Remove(key(1))
+	c.Remove(key(3)) // absent: a no-op
+	if c.Len() != 1 || !c.Contains(key(2)) || c.Contains(key(1)) {
+		t.Fatalf("after Remove: Len=%d", c.Len())
+	}
+	// Remove counts nothing: the two probes above are the only ones.
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 || st.Evictions != 0 {
+		t.Fatalf("stats %+v", st)
 	}
 }
 

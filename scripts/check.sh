@@ -45,10 +45,11 @@ go test -race -count=5 -run 'TestStatusDBConcurrentSoak|TestBatchProbeSeesWholeC
 echo "== verdict-route equivalence loop (reference model, -race) =="
 # Block connect, transaction admission and the light verifier share
 # one route (verify stage + ordered reduce) at every worker count;
-# these suites pin it to the test-only reference model and to the
-# recycling of its verdict storage. Their failure selection depends on
+# these suites pin it to the test-only reference model, to the
+# recycling of its verdict storage, and to the cache keys a commit
+# retires. Their failure selection depends on
 # goroutine scheduling, so run them repeatedly under the race detector.
-go test -race -count=5 -run 'TestPipelineEquivalence|TestPipelineFailureDeterministic|TestPreverifyConnectEquivalence|TestReferenceAcceptsChain|TestRecycledVerdictsDoNotLeak|TestTxBatchMatchesReference' \
+go test -race -count=5 -run 'TestPipelineEquivalence|TestPipelineFailureDeterministic|TestPreverifyConnectEquivalence|TestReferenceAcceptsChain|TestRecycledVerdictsDoNotLeak|TestTxBatchMatchesReference|TestCommitRetiresCacheKeys' \
 	./internal/core
 go test -race -count=5 -run 'TestVerifyBlock' ./internal/light
 
@@ -65,9 +66,9 @@ go test -run 'TestWarmAdmissionAllocBudget|TestWarmDecodeZeroAllocs|TestWarmConn
 	./internal/core/
 go test -run 'TestScratchBuffersSteadyStateZeroAllocs' ./internal/ingest/
 # The verified-proof cache: at most 56 B per entry when full, almost
-# nothing before the first Add, and no allocation on Contains or on an
-# Add that reuses an evicted slot.
-go test -run 'TestFullCacheHeapBudget|TestNewIsLazy|TestSteadyStateZeroAllocs' ./internal/vcache/
+# nothing before the first Add, no allocation on Contains, on an Add
+# that reuses an evicted slot, or on a steady Add+Remove cycle.
+go test -run 'TestFullCacheHeapBudget|TestNewIsLazy|TestSteadyStateZeroAllocs|TestAddRemoveSteadyStateZeroAllocs' ./internal/vcache/
 # The status database's warm commit allocates only its encode slab,
 # and a batch probe into a sized buffer nothing.
 go test -run 'TestWarmCommitAllocs' ./internal/statusdb/
