@@ -37,7 +37,6 @@ func main() {
 		artDir   = flag.String("artifactdir", "", "directory for machine-readable BENCH_*.json artifacts (default .)")
 		quick    = flag.Bool("quick", false, "small preset for smoke runs")
 		workers  = flag.Int("workers", 0, "override worker counts swept by ablation-parallel (0 = {1,2,4,NumCPU})")
-		vcache   = flag.Int("vcache", 0, "verified-proof cache entries for every EBV node (0 disables)")
 		depth    = flag.Int("depth", 0, "cross-block IBD pipeline depth for every EBV node (0 disables; ablation-ibdpipe sweeps its own depths)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile taken after the experiment run to this file")
@@ -79,9 +78,6 @@ func main() {
 	if *workers > 0 {
 		opts.Workers = *workers
 	}
-	if *vcache > 0 {
-		opts.VerifyCache = *vcache
-	}
 	if *depth > 0 {
 		opts.PipelineDepth = *depth
 	}
@@ -110,6 +106,7 @@ func main() {
 
 	if err := bench.RunByID(env, *exp, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "ebvbench:", err)
+		env.Close() // os.Exit skips the deferred Close and its node-dir cleanup
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "done in %s\n", time.Since(start).Round(time.Millisecond))

@@ -52,7 +52,7 @@ func main() {
 		quiet     = flag.Bool("quiet", false, "suppress per-block output")
 		workers   = flag.Int("workers", 1, "parallel proof-verification workers per block (>1 enables the pipeline)")
 		depth     = flag.Int("depth", 0, "cross-block pipeline depth for -import replay: how many future blocks may preverify ahead of the commit (0 disables)")
-		vcache    = flag.Int("vcache", 1<<16, "verified-proof cache entries (0 disables); relayed blocks whose proofs were already verified skip EV and SV")
+		vcache    = flag.Int("vcache", 1<<16, "verified-proof cache entries (0 disables; needs -txsubmit, whose admission fills it); relayed blocks whose proofs were already verified skip EV and SV")
 		fastsync  = flag.Bool("fastsync", false, "bootstrap from the -connect peers via state-sync snapshots before gossiping")
 		trustGen  = flag.String("trustgenesis", "", "hex genesis header hash a fast-sync snapshot must build on (anchor for an empty datadir)")
 		minBits   = flag.Uint("minbits", 0, "minimum per-header proof-of-work bits a fast-sync snapshot must declare")

@@ -33,7 +33,6 @@ func main() {
 		period   = flag.Int("period", 1000, "blocks per progress report")
 		workers  = flag.Int("workers", 1, "parallel proof-verification workers per block (ebv mode; >1 enables the pipeline)")
 		depth    = flag.Int("depth", 0, "cross-block pipeline depth: how many future blocks may preverify ahead of the commit (ebv mode; 0 disables)")
-		vcache   = flag.Int("vcache", 0, "verified-proof cache entries (ebv mode; 0 disables)")
 		fastsync = flag.String("fastsync", "", "comma-separated peer addresses to fast-bootstrap from (ebv mode; -chain then replays any remaining blocks)")
 		trustGen = flag.String("trustgenesis", "", "hex genesis header hash a fast-sync snapshot must build on (anchor for an empty datadir)")
 		minBits  = flag.Uint("minbits", 0, "minimum per-header proof-of-work bits a fast-sync snapshot must declare")
@@ -77,8 +76,7 @@ func main() {
 	case "ebv":
 		cfg := node.Config{
 			Dir: *dataDir, Optimize: true,
-			ParallelValidation: *workers, VerifyCacheSize: *vcache,
-			PipelineDepth: *depth,
+			ParallelValidation: *workers, PipelineDepth: *depth,
 		}
 		if *fastsync != "" {
 			var peers []string
@@ -132,11 +130,6 @@ func main() {
 				res.Total.SV.Round(time.Millisecond), res.Total.Other.Round(time.Millisecond))
 		}
 		fmt.Printf("  blocks: %d\n", n.Chain.Count())
-		if c := n.Validator.Cache(); c != nil {
-			st := c.Stats()
-			fmt.Printf("  verified-proof cache: %d hits, %d misses, %d evictions, %d entries\n",
-				st.Hits, st.Misses, st.Evictions, st.Size)
-		}
 		fmt.Printf("  status-data memory: %.2f MB (bit-vector set, %d vectors, %d unspent)\n",
 			float64(n.StatusMemUsage())/(1<<20), n.Status.VectorCount(), n.Status.UnspentCount())
 		if *branch != "" {

@@ -18,9 +18,8 @@ type Submission interface {
 	ID() hashx.Hash
 }
 
-// Backend is what the service verifies and commits against. The two
-// node types plug in here: EBVBackend batches verification across the
-// whole slice; ClassicBackend is the one-at-a-time baseline.
+// Backend is what the service verifies and commits against.
+// EBVBackend batches verification across the whole slice.
 type Backend interface {
 	// Decode parses wire bytes into a submission. The returned value
 	// owns its memory — entries outlive the connection buffer they
@@ -95,40 +94,6 @@ func (b *EBVBackend) CommitBatch(subs []Submission, workers int) []error {
 	_, poolErrs := b.Pool.CommitBatch(valid)
 	for j, i := range slots {
 		errs[i] = poolErrs[j]
-	}
-	return errs
-}
-
-// classicSub is a baseline submission.
-type classicSub struct {
-	tx *txmodel.Tx
-	id hashx.Hash
-}
-
-func (s *classicSub) ID() hashx.Hash { return s.id }
-
-// ClassicBackend is the baseline: the same service surface (queue,
-// rate limits, batching) but verification and commit run one
-// transaction at a time through ClassicPool.Add — the UTXO-set lookup
-// serializes admission exactly as it serializes block validation.
-type ClassicBackend struct {
-	Pool *mempool.ClassicPool
-}
-
-func (b *ClassicBackend) Decode(raw []byte) (Submission, error) {
-	tx, err := txmodel.DecodeTx(raw)
-	if err != nil {
-		return nil, err
-	}
-	return &classicSub{tx: tx, id: tx.TxID()}, nil
-}
-
-func (b *ClassicBackend) Contains(id hashx.Hash) bool { return b.Pool.Contains(id) }
-
-func (b *ClassicBackend) CommitBatch(subs []Submission, workers int) []error {
-	errs := make([]error, len(subs))
-	for i := range subs {
-		_, errs[i] = b.Pool.Add(subs[i].(*classicSub).tx)
 	}
 	return errs
 }

@@ -68,9 +68,6 @@ type Options struct {
 	// additionally narrows its sweep to {1, Workers}. 0 keeps the
 	// sequential validator (and the default sweep).
 	Workers int
-	// VerifyCache, when > 0, runs every EBV node with a verified-proof
-	// cache of that many entries. 0 keeps caching off.
-	VerifyCache int
 	// PipelineDepth, when > 0, runs every EBV node's IBD through the
 	// cross-block pipeline at that depth; ablation-ibdpipe sweeps its
 	// own depths regardless. 0 keeps one-block-at-a-time replay.
@@ -261,22 +258,28 @@ func (e *Env) Close() error {
 	return first
 }
 
-// TempNodeDir returns a fresh scratch directory for a node.
+// TempNodeDir returns a fresh scratch directory for a node; Close
+// removes it.
 func (e *Env) TempNodeDir() (string, error) {
-	return os.MkdirTemp("", "ebv-node-*")
+	dir, err := os.MkdirTemp("", "ebv-node-*")
+	if err != nil {
+		return "", err
+	}
+	e.closers = append(e.closers, func() error { return os.RemoveAll(dir) })
+	return dir, nil
 }
 
 // EBVNodeConfig is the node configuration every EBV-side experiment
 // uses: optimized vectors, the options' signature scheme, and — when
-// Options.Workers / Options.VerifyCache ask for them — the parallel
-// validation pipeline and the verified-proof cache.
+// Options.Workers / Options.PipelineDepth ask for them — the parallel
+// validation pipeline and the cross-block IBD pipeline. No experiment
+// admits transactions, so the node has no verified-proof cache.
 func (e *Env) EBVNodeConfig(dir string) node.Config {
 	return node.Config{
 		Dir:                dir,
 		Optimize:           true,
 		Scheme:             e.Opts.Scheme(),
 		ParallelValidation: e.Opts.Workers,
-		VerifyCacheSize:    e.Opts.VerifyCache,
 		PipelineDepth:      e.Opts.PipelineDepth,
 	}
 }

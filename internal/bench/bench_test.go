@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -230,6 +231,30 @@ func TestAblationsRun(t *testing.T) {
 		if !strings.Contains(out.String(), marker) {
 			t.Fatalf("output missing %q", marker)
 		}
+	}
+}
+
+// TestEnvCloseRemovesNodeDirs runs an experiment that opens a node
+// and checks that Env.Close leaves no node directory behind.
+func TestEnvCloseRemovesNodeDirs(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	e, err := NewEnv(tinyOptions(t), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := RunByID(e, "ablation-vector", io.Discard); err != nil {
+		e.Close()
+		t.Fatal(err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "ebv-node-*")); len(left) == 0 {
+		t.Fatal("ablation-vector opened no node directory under TMPDIR")
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(tmp, "ebv-node-*")); len(left) != 0 {
+		t.Fatalf("Env.Close left %v", left)
 	}
 }
 

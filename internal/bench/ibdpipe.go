@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -83,7 +82,6 @@ func (e *Env) AblationIBDPipe(w io.Writer) error {
 		unspent := n.Status.UnspentCount()
 		blocks := n.Chain.Count()
 		n.Close()
-		os.RemoveAll(dir)
 		if i == 0 {
 			wantUnspent = unspent
 		} else if unspent != wantUnspent {

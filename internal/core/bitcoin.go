@@ -166,55 +166,6 @@ func (v *BitcoinValidator) ConnectBlockUndo(b *blockmodel.ClassicBlock) (*Breakd
 	return bd, spends, nil
 }
 
-// ValidateTx checks one classic transaction against the current UTXO
-// set — the baseline's mempool admission: every input exists and is
-// mature, scripts verify, values balance. The set is not modified, so
-// conflicting pool entries are the pool's concern, not this check's.
-func (v *BitcoinValidator) ValidateTx(tx *txmodel.Tx) error {
-	if tx.IsCoinbase() {
-		return fmt.Errorf("%w: standalone coinbase", ErrInvalidBlock)
-	}
-	nextHeight := uint64(0)
-	if tip, ok := v.headers.TipHeight(); ok {
-		nextHeight = tip + 1
-	}
-	sigHash := tx.SigHash()
-	seen := make(map[txmodel.OutPoint]struct{}, len(tx.Inputs))
-	var inSum uint64
-	for ii := range tx.Inputs {
-		in := &tx.Inputs[ii]
-		if _, dup := seen[in.PrevOut]; dup {
-			return fmt.Errorf("%w: %s", ErrDuplicateSpend, in.PrevOut)
-		}
-		seen[in.PrevOut] = struct{}{}
-		entry, err := v.utxo.Fetch(in.PrevOut)
-		if err != nil {
-			if errors.Is(err, utxoset.ErrMissing) {
-				return fmt.Errorf("%w: input %d (%s)", ErrMissingOutput, ii, in.PrevOut)
-			}
-			return err
-		}
-		if entry.Coinbase && nextHeight-entry.Height < txmodel.CoinbaseMaturity {
-			return fmt.Errorf("%w: input %d", ErrImmature, ii)
-		}
-		if inSum+entry.Value < inSum {
-			return fmt.Errorf("%w: inputs", ErrOverflow)
-		}
-		inSum += entry.Value
-		if err := v.engine.Execute(in.UnlockScript, entry.LockScript, sigHash); err != nil {
-			return fmt.Errorf("%w: input %d: %v", ErrScriptFailed, ii, err)
-		}
-	}
-	outSum, ok := tx.OutputSum()
-	if !ok {
-		return fmt.Errorf("%w: outputs", ErrOverflow)
-	}
-	if outSum > inSum {
-		return fmt.Errorf("%w: spends %d, creates %d", ErrValueImbalance, inSum, outSum)
-	}
-	return nil
-}
-
 func (v *BitcoinValidator) checkStructure(b *blockmodel.ClassicBlock) error {
 	tip, hasTip := v.headers.TipHeight()
 	switch {

@@ -462,15 +462,14 @@ func (p *Pool) BlockConnected(b *blockmodel.EBVBlock) int {
 	return dropped
 }
 
-// BlockDisconnected handles a reorg's disconnect of b. Unlike the
-// classic pool, the block's own transactions are NOT re-admitted:
-// every EBV input body proves (height, position) coordinates against
-// a stored header of the losing branch, and after the switch those
-// headers are gone or replaced. Each one is counted as a stale-proof
-// drop (see ErrStaleProof). Pooled transactions whose cached spends
-// point at outputs created at or above the disconnected height are
-// evicted for the same reason. Returns how many block transactions
-// were dropped as stale.
+// BlockDisconnected handles a reorg's disconnect of b. The block's own
+// transactions are NOT re-admitted: every EBV input body proves
+// (height, position) coordinates against a stored header of the losing
+// branch, and after the switch those headers are gone or replaced.
+// Each one is counted as a stale-proof drop (see ErrStaleProof).
+// Pooled transactions whose cached spends point at outputs created at
+// or above the disconnected height are evicted for the same reason.
+// Returns how many block transactions were dropped as stale.
 func (p *Pool) BlockDisconnected(b *blockmodel.EBVBlock) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -4,13 +4,9 @@ import (
 	"testing"
 
 	"ebv/internal/blockmodel"
-	"ebv/internal/chainstore"
-	"ebv/internal/core"
-	"ebv/internal/kvstore"
 	"ebv/internal/proof"
 	"ebv/internal/script"
 	"ebv/internal/txmodel"
-	"ebv/internal/utxoset"
 	"ebv/internal/workload"
 )
 
@@ -127,109 +123,5 @@ func TestEBVBlockDisconnectedDropsStale(t *testing.T) {
 	}
 	if got := pool.StaleProofDrops(); got != wantStale+1+stale2 {
 		t.Fatalf("StaleProofDrops %d after second disconnect", got)
-	}
-}
-
-// classicEnv is a synced baseline validator whose tip block can be
-// disconnected for real (its undo record is kept).
-type classicEnv struct {
-	val     *core.BitcoinValidator
-	chain   *chainstore.Store
-	blocks  []*blockmodel.ClassicBlock
-	tipUndo []utxoset.SpentEntry
-}
-
-func newClassicEnv(t *testing.T, blocks int) *classicEnv {
-	t.Helper()
-	gen := workload.NewGenerator(workload.TestParams(blocks))
-	db, err := kvstore.Open(t.TempDir(), kvstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { db.Close() })
-	set, err := utxoset.Open(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chain, err := chainstore.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { chain.Close() })
-	e := &classicEnv{chain: chain}
-	e.val = core.NewBitcoinValidator(set, script.NewEngine(gen.Scheme()), chain)
-	for !gen.Done() {
-		cb, err := gen.NextBlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, undo, err := e.val.ConnectBlockUndo(cb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := chain.Append(cb.Header, cb.Encode(nil)); err != nil {
-			t.Fatal(err)
-		}
-		e.blocks = append(e.blocks, cb)
-		e.tipUndo = undo
-	}
-	return e
-}
-
-// TestClassicBlockDisconnectedReadmits pins the classic pool's reorg
-// story — the mirror image of the EBV test above: transactions from a
-// disconnected block reference outputs by (txid, index), which remain
-// meaningful, so they flow back into the pool; a repeat delivery (all
-// duplicates) exercises the drop path; reconnecting the block evicts
-// them again.
-func TestClassicBlockDisconnectedReadmits(t *testing.T) {
-	e := newClassicEnv(t, 250)
-	tip := e.blocks[len(e.blocks)-1]
-	nTxs := len(tip.Txs) - 1
-	if nTxs == 0 {
-		t.Skip("tip block carries no transactions at this scale")
-	}
-
-	// Disconnect the tip for real so re-admission validates against the
-	// pre-block UTXO set.
-	if err := e.val.DisconnectBlock(tip, e.tipUndo); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.chain.Truncate(len(e.blocks) - 1); err != nil {
-		t.Fatal(err)
-	}
-
-	pool := NewClassic(e.val, Config{})
-	readmitted, dropped := pool.BlockDisconnected(tip)
-	if readmitted != nTxs || dropped != 0 {
-		t.Fatalf("re-admission: %d/%d, want %d/0", readmitted, dropped, nTxs)
-	}
-	if pool.Len() != nTxs || pool.Readmitted() != nTxs {
-		t.Fatalf("pool after reorg: len %d, readmitted %d", pool.Len(), pool.Readmitted())
-	}
-	if _, ok := pool.Get(tip.Txs[1].TxID()); !ok {
-		t.Fatal("re-admitted transaction must be retrievable")
-	}
-
-	// Same block delivered again: every tx is now a duplicate — the
-	// drop path.
-	readmitted2, dropped2 := pool.BlockDisconnected(tip)
-	if readmitted2 != 0 || dropped2 != nTxs {
-		t.Fatalf("duplicate delivery: %d/%d, want 0/%d", readmitted2, dropped2, nTxs)
-	}
-	if pool.Len() != nTxs {
-		t.Fatal("duplicate delivery must not grow the pool")
-	}
-
-	// The winning branch includes the block after all: everything is
-	// claimed and evicted.
-	if _, _, err := e.val.ConnectBlockUndo(tip); err != nil {
-		t.Fatal(err)
-	}
-	if evicted := pool.BlockConnected(tip); evicted != nTxs {
-		t.Fatalf("reconnect evicted %d, want %d", evicted, nTxs)
-	}
-	if pool.Len() != 0 {
-		t.Fatalf("pool must drain on reconnect: %d left", pool.Len())
 	}
 }

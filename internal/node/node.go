@@ -60,12 +60,12 @@ type Config struct {
 	// verification pipeline — consistency, sighash, EV and SV — on
 	// that many goroutines per block (core.WithParallelValidation).
 	ParallelValidation int
-	// VerifyCacheSize, when > 0, installs a verified-proof cache of
-	// that many entries on the EBV validator
-	// (core.WithVerificationCache): inputs already verified — e.g. at
-	// mempool admission on the relay path — skip the EV Merkle fold
-	// and SV script execution at block validation. 0 disables the
-	// cache (the seed behavior).
+	// VerifyCacheSize, when > 0 on a node with Admission, installs a
+	// verified-proof cache of that many entries on the EBV validator
+	// (core.WithVerificationCache): inputs already verified at mempool
+	// admission skip the EV Merkle fold and SV script execution at
+	// block validation. Admission is the cache's only writer, so a node
+	// without it gets no cache. 0 disables the cache.
 	VerifyCacheSize int
 	// PipelineDepth, when > 0, replays IBD through the cross-block
 	// pipeline (internal/pipeline): structure checks and EV+SV proof
@@ -90,7 +90,8 @@ type Config struct {
 	// transaction-admission front end (internal/admission) to the node:
 	// Pool and Admission are populated, connected blocks evict included
 	// and conflicting transactions, and reorg disconnects run the
-	// pool's stale-proof (EBV) or re-admission (baseline) policy.
+	// pool's stale-proof policy. EBV nodes only: the baseline has no
+	// transaction tier, and NewBitcoinNode rejects a non-nil value.
 	Admission *AdmissionConfig
 }
 
@@ -117,17 +118,16 @@ type BitcoinNode struct {
 	// Forks, when set via EnableForkChoice, routes competing-branch
 	// blocks through the reorg engine.
 	Forks *forkchoice.Engine
-	// Pool and Admission are set when Config.Admission is non-nil.
-	// ClassicPool indexes transactions by txid only — it does not
-	// implement relay.TxSource, so a baseline node never advertises
-	// compact block relay and stays on the full-block protocol.
-	Pool      *mempool.ClassicPool
-	Admission *admission.Service
-	db        *kvstore.DB
+	db    *kvstore.DB
 }
 
 // NewBitcoinNode creates or reopens a baseline node under cfg.Dir.
+// The baseline validates blocks only; it has no mempool, so
+// cfg.Admission must be nil.
 func NewBitcoinNode(cfg Config) (*BitcoinNode, error) {
+	if cfg.Admission != nil {
+		return nil, errors.New("node: the baseline has no transaction tier; Config.Admission is for EBV nodes")
+	}
 	memLimit := cfg.MemLimit
 	if memLimit <= 0 {
 		memLimit = 64 << 20
@@ -152,10 +152,6 @@ func NewBitcoinNode(cfg Config) (*BitcoinNode, error) {
 	}
 	n := &BitcoinNode{Chain: chain, UTXO: set, db: db}
 	n.Validator = core.NewBitcoinValidator(set, script.NewEngine(cfg.scheme()), chain)
-	if cfg.Admission != nil {
-		n.Pool = mempool.NewClassic(n.Validator, cfg.Admission.Pool)
-		n.Admission = admission.New(&admission.ClassicBackend{Pool: n.Pool}, cfg.Admission.Service)
-	}
 	return n, nil
 }
 
@@ -193,9 +189,6 @@ func (n *BitcoinNode) submit(b *blockmodel.ClassicBlock, raw []byte) (*core.Brea
 		return bd, err
 	}
 	bd.Other += time.Since(w)
-	if n.Pool != nil {
-		n.Pool.BlockConnected(b)
-	}
 	return bd, nil
 }
 
@@ -236,9 +229,6 @@ func (n *BitcoinNode) DisconnectTip() error {
 	if err := n.Chain.Truncate(int(tip)); err != nil {
 		return err
 	}
-	if n.Pool != nil {
-		n.Pool.BlockDisconnected(blk)
-	}
 	return n.db.Delete(undoKey(tip))
 }
 
@@ -253,12 +243,8 @@ func (n *BitcoinNode) SetReadLatency(d time.Duration) { n.db.SetReadLatency(d) }
 // (memtable + block cache + table metadata).
 func (n *BitcoinNode) StatusMemUsage() int64 { return int64(n.db.MemUsage()) }
 
-// Close flushes and closes the node's stores, draining the admission
-// service first so no batch commits into a closed node.
+// Close flushes and closes the node's stores.
 func (n *BitcoinNode) Close() error {
-	if n.Admission != nil {
-		n.Admission.Close()
-	}
 	err1 := n.db.Close()
 	err2 := n.Chain.Close()
 	if err1 != nil {
@@ -335,7 +321,7 @@ func NewEBVNode(cfg Config) (*EBVNode, error) {
 			sTip, sOK, cTip, cOK, cfg.Dir)
 	}
 	opts := []core.EBVOption{core.WithParallelValidation(cfg.ParallelValidation)}
-	if cfg.VerifyCacheSize > 0 {
+	if cfg.VerifyCacheSize > 0 && cfg.Admission != nil {
 		opts = append(opts, core.WithVerificationCache(vcache.New(cfg.VerifyCacheSize)))
 	}
 	n.Validator = core.NewEBVValidator(status, script.NewEngine(cfg.scheme()), chain, opts...)

@@ -668,3 +668,28 @@ func TestPipelinedIBDEvictsPool(t *testing.T) {
 		n.Close()
 	}
 }
+
+// TestAdmissionOwnsTheTransactionTier pins where the transaction tier
+// lives: the baseline has none and rejects an admission config, and
+// an EBV node gets a verified-proof cache only when it admits, since
+// admission is the cache's only writer.
+func TestAdmissionOwnsTheTransactionTier(t *testing.T) {
+	if n, err := NewBitcoinNode(Config{Dir: t.TempDir(), Admission: &AdmissionConfig{}}); err == nil {
+		n.Close()
+		t.Fatal("baseline node accepted an admission config")
+	}
+	for _, admits := range []bool{false, true} {
+		cfg := Config{Dir: t.TempDir(), Optimize: true, VerifyCacheSize: 1 << 10}
+		if admits {
+			cfg.Admission = &AdmissionConfig{}
+		}
+		n, err := NewEBVNode(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := n.Validator.Cache() != nil; got != admits {
+			t.Errorf("admission %v: cache installed %v", admits, got)
+		}
+		n.Close()
+	}
+}
