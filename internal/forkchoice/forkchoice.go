@@ -128,13 +128,6 @@ type Config struct {
 	// MaxPeerOrphans caps one peer's orphan contributions, so a peer
 	// spraying unconnectable blocks can only evict its own. Default 32.
 	MaxPeerOrphans int
-	// OnConnect/OnDisconnect observe committed chain changes (mempool
-	// reorg handling hangs here). During a switch they fire only after
-	// the whole switch has committed: disconnects of the old branch
-	// tip-down, then connects of the new branch in height order. A
-	// failed switch fires neither.
-	OnConnect    func(raw []byte)
-	OnDisconnect func(raw []byte)
 	// Logf, if set, receives reorg and eviction events.
 	Logf func(format string, args ...any)
 }
@@ -276,7 +269,6 @@ func (e *Engine) processLocked(raw []byte, peer string) (Verdict, error) {
 			return Rejected, err
 		}
 		e.extendPrefixLocked(hdr, hash)
-		e.emitConnect(raw)
 		return Connected, nil
 	}
 
@@ -450,14 +442,6 @@ func (e *Engine) reorgLocked(target hashx.Hash) error {
 		}
 	}
 	e.rebuildPrefixLocked()
-
-	// Deliver events only now that the switch is final.
-	for _, raw := range detached {
-		e.emitDisconnect(raw)
-	}
-	for _, it := range path {
-		e.emitConnect(it.raw)
-	}
 	e.stats.Reorgs++
 	if depth > e.stats.DeepestReorg {
 		e.stats.DeepestReorg = depth
@@ -590,18 +574,6 @@ func (e *Engine) tipWorkLocked() *big.Int {
 // choice degrades to longest-chain).
 func workOf(bits uint32) *big.Int {
 	return new(big.Int).Lsh(big.NewInt(1), uint(bits))
-}
-
-func (e *Engine) emitConnect(raw []byte) {
-	if e.cfg.OnConnect != nil {
-		e.cfg.OnConnect(raw)
-	}
-}
-
-func (e *Engine) emitDisconnect(raw []byte) {
-	if e.cfg.OnDisconnect != nil {
-		e.cfg.OnDisconnect(raw)
-	}
 }
 
 // --- accessors for the gossip layer ---

@@ -448,58 +448,6 @@ func TestShortBlockRejected(t *testing.T) {
 	}
 }
 
-func TestEventsFireOnlyAfterCommit(t *testing.T) {
-	chain := newFakeChain()
-	var connects, disconnects []uint64
-	e := New(chain, Config{
-		OnConnect: func(raw []byte) {
-			hdr, _ := blockmodel.DecodeHeader(raw[:blockmodel.HeaderSize])
-			connects = append(connects, hdr.Height)
-		},
-		OnDisconnect: func(raw []byte) {
-			hdr, _ := blockmodel.DecodeHeader(raw[:blockmodel.HeaderSize])
-			disconnects = append(disconnects, hdr.Height)
-		},
-	})
-	shared := mkBranch(hashx.ZeroHash, 0, 3, 0, 0)
-	feed(t, e, shared, "p")
-	if len(connects) != 3 || len(disconnects) != 0 {
-		t.Fatalf("after linear growth: %d connects %d disconnects", len(connects), len(disconnects))
-	}
-
-	// Failed switch: no events at all.
-	connects, disconnects = nil, nil
-	bad := mkBranch(hashOf(shared[0]), 1, 3, 0, 0xB)
-	chain.poison[hashOf(bad[0])] = true
-	feed(t, e, bad[:2], "b")
-	if _, err := e.ProcessBlock(bad[2], "b"); err == nil {
-		t.Fatal("poisoned switch should fail")
-	}
-	if len(connects) != 0 || len(disconnects) != 0 {
-		t.Fatalf("failed switch leaked events: %v / %v", connects, disconnects)
-	}
-
-	// Committed switch: old branch disconnects tip-down, new branch
-	// connects in height order.
-	good := mkBranch(hashOf(shared[0]), 1, 3, 0, 0xC)
-	feed(t, e, good, "c")
-	wantDis := []uint64{2, 1}
-	wantCon := []uint64{1, 2, 3}
-	if len(disconnects) != len(wantDis) || len(connects) != len(wantCon) {
-		t.Fatalf("events: disconnects %v connects %v", disconnects, connects)
-	}
-	for i, h := range wantDis {
-		if disconnects[i] != h {
-			t.Fatalf("disconnect order %v, want %v", disconnects, wantDis)
-		}
-	}
-	for i, h := range wantCon {
-		if connects[i] != h {
-			t.Fatalf("connect order %v, want %v", connects, wantCon)
-		}
-	}
-}
-
 func TestExternalChainGrowthDetected(t *testing.T) {
 	chain := newFakeChain()
 	e := New(chain, Config{})

@@ -14,6 +14,7 @@
 package mempool
 
 import (
+	"bytes"
 	"container/heap"
 	"errors"
 	"fmt"
@@ -101,7 +102,7 @@ func (h feeHeap) Less(i, j int) bool {
 	if h[i].feeRate != h[j].feeRate {
 		return h[i].feeRate < h[j].feeRate
 	}
-	return h[i].id.String() < h[j].id.String()
+	return bytes.Compare(h[i].id[:], h[j].id[:]) < 0
 }
 func (h feeHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
@@ -409,7 +410,7 @@ func (p *Pool) BuildTemplate(maxOutputs int) (txs []*txmodel.EBVTx, totalFees ui
 		if ordered[i].feeRate != ordered[j].feeRate {
 			return ordered[i].feeRate > ordered[j].feeRate
 		}
-		return ordered[i].id.String() < ordered[j].id.String() // deterministic tie-break
+		return bytes.Compare(ordered[i].id[:], ordered[j].id[:]) < 0 // deterministic tie-break
 	})
 	outputs := 1 // miner's coinbase output
 	for _, e := range ordered {

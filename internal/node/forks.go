@@ -1,8 +1,6 @@
 package node
 
 import (
-	"fmt"
-
 	"ebv/internal/blockmodel"
 	"ebv/internal/chainstore"
 	"ebv/internal/forkchoice"
@@ -41,24 +39,7 @@ func (c ebvForkChain) ConnectRaw(raw []byte) error {
 	return err
 }
 
-func (c ebvForkChain) DisconnectTip() ([]byte, error) {
-	tip, ok := c.store.TipHeight()
-	if !ok {
-		return nil, fmt.Errorf("node: disconnect on empty chain")
-	}
-	raw, err := c.store.BlockBytes(tip)
-	if err != nil {
-		return nil, err
-	}
-	// BlockBytes hands out a view into the store's map; the reorg
-	// executor keeps these bytes across a Truncate + re-Append cycle,
-	// so detach them.
-	raw = append([]byte(nil), raw...)
-	if err := c.n.DisconnectTip(); err != nil {
-		return nil, err
-	}
-	return raw, nil
-}
+func (c ebvForkChain) DisconnectTip() ([]byte, error) { return c.n.disconnectTip() }
 
 // btcForkChain drives a BitcoinNode from the fork-choice engine.
 type btcForkChain struct {
@@ -71,21 +52,7 @@ func (c btcForkChain) ConnectRaw(raw []byte) error {
 	return err
 }
 
-func (c btcForkChain) DisconnectTip() ([]byte, error) {
-	tip, ok := c.store.TipHeight()
-	if !ok {
-		return nil, fmt.Errorf("node: disconnect on empty chain")
-	}
-	raw, err := c.store.BlockBytes(tip)
-	if err != nil {
-		return nil, err
-	}
-	raw = append([]byte(nil), raw...)
-	if err := c.n.DisconnectTip(); err != nil {
-		return nil, err
-	}
-	return raw, nil
-}
+func (c btcForkChain) DisconnectTip() ([]byte, error) { return c.n.disconnectTip() }
 
 // EnableForkChoice attaches a fork-choice engine to the node. Blocks
 // routed through AcceptBlock afterwards may park on side branches or

@@ -203,33 +203,43 @@ func undoKey(height uint64) []byte {
 
 // DisconnectTip reverses the node's tip block during a reorg.
 func (n *BitcoinNode) DisconnectTip() error {
+	_, err := n.disconnectTip()
+	return err
+}
+
+// disconnectTip reverses the tip block and returns its bytes, which
+// the fork-choice engine keeps for rollback and re-indexing.
+func (n *BitcoinNode) disconnectTip() ([]byte, error) {
 	tip, ok := n.Chain.TipHeight()
 	if !ok {
-		return fmt.Errorf("node: disconnect on empty chain")
+		return nil, fmt.Errorf("node: disconnect on empty chain")
 	}
 	raw, err := n.Chain.BlockBytes(tip)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	blk, err := blockmodel.DecodeClassicBlock(raw)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	undoRaw, err := n.db.Get(undoKey(tip))
 	if err != nil {
-		return fmt.Errorf("node: missing undo record for %d: %w", tip, err)
+		return nil, fmt.Errorf("node: missing undo record for %d: %w", tip, err)
 	}
 	undo, err := utxoset.DecodeUndo(undoRaw)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := n.Validator.DisconnectBlock(blk, undo); err != nil {
-		return err
+		return nil, err
 	}
 	if err := n.Chain.Truncate(int(tip)); err != nil {
-		return err
+		return nil, err
 	}
-	return n.db.Delete(undoKey(tip))
+	if err := n.db.Delete(undoKey(tip)); err != nil {
+		return nil, err
+	}
+	return raw, nil
 }
 
 // DBStats exposes the UTXO database's counters.
@@ -374,30 +384,37 @@ func NewEBVNode(cfg Config) (*EBVNode, error) {
 // needs no stored undo data: the tip block's own input bodies say
 // which bits to restore.
 func (n *EBVNode) DisconnectTip() error {
+	_, err := n.disconnectTip()
+	return err
+}
+
+// disconnectTip reverses the tip block and returns its bytes (see
+// BitcoinNode.disconnectTip).
+func (n *EBVNode) disconnectTip() ([]byte, error) {
 	tip, ok := n.Chain.TipHeight()
 	if !ok {
-		return fmt.Errorf("node: disconnect on empty chain")
+		return nil, fmt.Errorf("node: disconnect on empty chain")
 	}
 	raw, err := n.Chain.BlockBytes(tip)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	blk, err := blockmodel.DecodeEBVBlock(raw)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := n.Validator.DisconnectBlock(blk); err != nil {
-		return err
+		return nil, err
 	}
 	if err := n.Chain.Truncate(int(tip)); err != nil {
-		return err
+		return nil, err
 	}
 	if n.Pool != nil {
 		// EBV reorg policy: proofs anchored in the lost branch go stale
 		// (ErrStaleProof semantics), nothing is re-admitted.
 		n.Pool.BlockDisconnected(blk)
 	}
-	return nil
+	return raw, nil
 }
 
 // SubmitBlock validates and stores one block.

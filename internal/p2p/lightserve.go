@@ -219,31 +219,25 @@ func (n *Node) lightServing() bool {
 	return n.cfg.LightServe && n.cfg.Forks != nil
 }
 
-// notifyLight matches a newly accepted block against all subscriptions
-// and enqueues one subupdate per matched subscriber. The block is
-// decoded and scanned exactly once regardless of subscriber count;
-// each pushed script element and spent outpoint is a registry lookup.
-func (n *Node) notifyLight(height uint64) {
+// lightWatched reports whether any light subscriber would read a
+// block match.
+func (n *Node) lightWatched() bool {
 	if !n.lightServing() {
-		return
+		return false
 	}
 	n.light.mu.Lock()
-	idle := len(n.light.subs) == 0
-	n.light.mu.Unlock()
-	if idle {
-		return
-	}
-	raw, err := n.chain.BlockBytes(height)
-	if err != nil {
-		return
-	}
-	start := time.Now()
-	b, err := blockmodel.DecodeEBVBlock(raw)
-	if err != nil {
-		n.logf("light: decoding block %d for matching: %v", height, err)
-		return
-	}
-	hash := b.Header.Hash()
+	defer n.light.mu.Unlock()
+	return len(n.light.subs) > 0
+}
+
+// notifyLight matches an accepted block against all subscriptions and
+// enqueues one subupdate per matched subscriber. The block is scanned
+// exactly once regardless of subscriber count; each pushed script
+// element and spent outpoint is a registry lookup. b may borrow a
+// scratch: only its height, hash and match counts are queued. The
+// match time counted runs from start, which the caller takes before
+// decoding.
+func (n *Node) notifyLight(b *blockmodel.EBVBlock, hash hashx.Hash, start time.Time) {
 	matched := make(map[*lightSub]uint64)
 	var elems [][]byte
 	n.light.mu.Lock()
@@ -275,7 +269,7 @@ func (n *Node) notifyLight(height uint64) {
 	n.light.stats.MatchNanos.Add(int64(time.Since(start)))
 	for s, count := range matched {
 		select {
-		case s.queue <- lightNotify{height: height, hash: hash, matched: count}:
+		case s.queue <- lightNotify{height: b.Header.Height, hash: hash, matched: count}:
 			n.light.stats.Notifies.Add(1)
 		default:
 			// Backpressure: the subscriber is not draining. Drop the

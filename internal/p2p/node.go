@@ -14,6 +14,7 @@ import (
 	"ebv/internal/chainstore"
 	"ebv/internal/forkchoice"
 	"ebv/internal/hashx"
+	"ebv/internal/ingest"
 	"ebv/internal/p2p/wire"
 	"ebv/internal/relay"
 )
@@ -41,7 +42,8 @@ type Config struct {
 	// MaxPeers bounds accepted connections. Default 16.
 	MaxPeers int
 	// OnBlock, if set, is called after a block is accepted, with the
-	// height and the peer it came from (empty for local submissions).
+	// height of the tip it announces and the peer the block came from
+	// (empty for local submissions).
 	// The propagation experiments hang their arrival clocks here.
 	OnBlock func(height uint64, from string)
 	// Logf, if set, receives debug lines.
@@ -605,12 +607,7 @@ func (n *Node) acceptGossipBlock(p *peer, height uint64, payload []byte) error {
 	if err := n.chain.SubmitRaw(payload); err != nil {
 		return fmt.Errorf("invalid block %d: %w", height, err)
 	}
-	if n.cfg.OnBlock != nil {
-		n.cfg.OnBlock(height, p.id)
-	}
-	n.announce(height, p.id)
-	// If the peer is ahead, keep pulling.
-	n.requestFrom(p, height+1)
+	n.accepted(payload, p)
 	return nil
 }
 
@@ -634,13 +631,7 @@ func (n *Node) handleBlockForkChoice(p *peer, height uint64, payload []byte) err
 	}
 	switch v {
 	case forkchoice.Connected, forkchoice.Reorged:
-		tip, _ := n.chain.TipHeight()
-		if n.cfg.OnBlock != nil {
-			n.cfg.OnBlock(tip, p.id)
-		}
-		n.announce(tip, p.id)
-		// If the peer is ahead on what is now our branch, keep pulling.
-		n.requestFrom(p, tip+1)
+		n.accepted(payload, p)
 	case forkchoice.Orphaned:
 		// Unknown parent: instead of dropping the block on the floor,
 		// ask the sender for headers so the gap (or its branch) can be
@@ -651,72 +642,106 @@ func (n *Node) handleBlockForkChoice(p *peer, height uint64, payload []byte) err
 	return nil
 }
 
-// announce advertises a newly accepted block at height to every peer
-// except the source: a compact short-id announcement pushed directly
-// to compact-relay peers (saving the inv/getblocks round trip on top
-// of the bytes), a plain inv to everyone else. Featureless peers see
-// the legacy protocol verbatim.
-func (n *Node) announce(height uint64, except string) {
-	// Light tier first: one matching pass over the block feeds every
-	// subscriber's queue (see lightserve.go); the inv/compact fan-out
-	// below still reaches light clients, which use invs as their
-	// header-sync tick.
-	n.notifyLight(height)
-	hash := n.chain.TipHash()
-	var info *relay.BlockInfo
-	if n.cfg.Relay != nil {
-		info = n.relayInfoFor(height)
-	}
-	n.mu.Lock()
-	targets := make([]*peer, 0, len(n.peers))
-	for id, p := range n.peers {
-		if id != except {
-			targets = append(targets, p)
-		}
-	}
-	n.mu.Unlock()
-	for _, p := range targets {
-		if info != nil && p.hasFeature(wire.FeatureCompactRelay) {
-			c := info.Compact(p.nonce)
-			_ = p.send(&wire.Message{Kind: wire.CmpctBlock, Height: height, Payload: c.Encode(nil)})
-			n.relay.stats.CompactSent.Add(1)
-			continue
-		}
-		_ = p.send(&wire.Message{Kind: wire.Inv, Height: height, Hash: hash})
-	}
-}
-
-// relayInfoFor returns the cached relay index for the block at
-// height, building and caching it from the chain if needed. A miss
-// (pruned body, decode failure) returns nil and the caller falls back
-// to inv announcements.
-func (n *Node) relayInfoFor(height uint64) *relay.BlockInfo {
-	raw, err := n.chain.BlockBytes(height)
-	if err != nil || len(raw) < blockmodel.HeaderSize {
-		return nil
-	}
-	if info := n.relay.lookup(hashx.DoubleSum(raw[:blockmodel.HeaderSize])); info != nil {
-		return info
-	}
-	info, err := relay.NewBlockInfo(raw)
-	if err != nil {
-		n.logf("relay: indexing block %d: %v", height, err)
-		return nil
-	}
-	n.relay.cache(info)
-	return info
-}
-
 // SubmitLocal injects a locally produced block (a miner) and announces
 // it to all peers.
 func (n *Node) SubmitLocal(raw []byte) error {
 	if err := n.chain.SubmitRaw(raw); err != nil {
 		return err
 	}
-	tip, _ := n.chain.TipHeight()
-	if n.cfg.OnBlock != nil {
-		n.cfg.OnBlock(tip, "")
-	}
-	n.announce(tip, "")
+	n.accepted(raw, nil)
 	return nil
+}
+
+// accepted is the one pass after the chain takes a block, whether from
+// a peer (from) or a local miner (nil): OnBlock, the announcement, and
+// a pull of what follows from a peer that may be ahead. It works from
+// raw, the accepted bytes, unless the tip has moved past them
+// meanwhile (orphan adoption, a concurrent accept); then it announces
+// the tip block instead. Height and hash always come from one header.
+func (n *Node) accepted(raw []byte, from *peer) {
+	// An accepted block, like a stored one, is at least a header long.
+	hdr, err := blockmodel.DecodeHeader(raw[:blockmodel.HeaderSize])
+	if err == nil && hdr.Hash() != n.chain.TipHash() {
+		tip, _ := n.chain.TipHeight()
+		if raw, err = n.chain.BlockBytes(tip); err == nil {
+			hdr, err = blockmodel.DecodeHeader(raw[:blockmodel.HeaderSize])
+		}
+	}
+	if err != nil {
+		n.logf("announce: %v", err)
+		return
+	}
+	var fromID string
+	if from != nil {
+		fromID = from.id
+	}
+	if n.cfg.OnBlock != nil {
+		n.cfg.OnBlock(hdr.Height, fromID)
+	}
+	n.announce(raw, hdr, fromID)
+	if from != nil {
+		n.requestFrom(from, hdr.Height+1)
+	}
+}
+
+// announce advertises an accepted block to every peer except the
+// source: a compact short-id announcement pushed directly to
+// compact-relay peers (saving the inv/getblocks round trip on top of
+// the bytes), a plain inv to everyone else. Featureless peers see the
+// legacy protocol verbatim. The block is decoded only when something
+// reads the decode — a compact-capable target needs the relay index, a
+// light subscriber the filter match — and then once for both.
+func (n *Node) announce(raw []byte, hdr blockmodel.Header, except string) {
+	hash := hdr.Hash()
+	var compact bool
+	n.mu.Lock()
+	targets := make([]*peer, 0, len(n.peers))
+	for id, p := range n.peers {
+		if id != except {
+			targets = append(targets, p)
+			compact = compact || (n.cfg.Relay != nil && p.hasFeature(wire.FeatureCompactRelay))
+		}
+	}
+	n.mu.Unlock()
+	// Light tier first: its pushes are queued before the fan-out below,
+	// which still reaches light clients as their header-sync tick.
+	var info *relay.BlockInfo
+	if watched := n.lightWatched(); compact || watched {
+		info = n.decodeAccepted(raw, hash, watched, compact)
+	}
+	for _, p := range targets {
+		if info != nil && p.hasFeature(wire.FeatureCompactRelay) {
+			c := info.Compact(p.nonce)
+			_ = p.send(&wire.Message{Kind: wire.CmpctBlock, Height: hdr.Height, Payload: c.Encode(nil)})
+			n.relay.stats.CompactSent.Add(1)
+			continue
+		}
+		_ = p.send(&wire.Message{Kind: wire.Inv, Height: hdr.Height, Hash: hash})
+	}
+}
+
+// decodeAccepted decodes an accepted block once, borrowing raw into a
+// pooled ingest scratch, and feeds that decode to the light match
+// (when match is set) and to a new, cached relay index (when index is
+// set). Neither keeps anything of the scratch — the light queues hold
+// counts, the index copies raw — so the scratch goes back to the pool
+// before this returns.
+func (n *Node) decodeAccepted(raw []byte, hash hashx.Hash, match, index bool) *relay.BlockInfo {
+	start := time.Now()
+	s := ingest.Get()
+	defer s.Release()
+	blk, err := s.DecodeEBVBlock(raw)
+	if err != nil {
+		n.logf("decoding block %s to announce: %v", hash.Short(), err)
+		return nil
+	}
+	if match {
+		n.notifyLight(blk, hash, start)
+	}
+	if !index {
+		return nil
+	}
+	info := relay.NewBlockInfo(raw, blk)
+	n.relay.cache(info)
+	return info
 }

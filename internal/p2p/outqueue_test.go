@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ebv/internal/blockmodel"
 	"ebv/internal/light"
 	"ebv/internal/loadgen"
 	"ebv/internal/node"
@@ -72,6 +73,14 @@ func queuedNow(p *peer) int {
 func TestHelloFirstWhileAnnouncing(t *testing.T) {
 	_, src := buildEBVChain(t, 20)
 	tip, _ := src.TipHeight()
+	raw, err := src.BlockBytes(tip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := blockmodel.DecodeHeader(raw[:blockmodel.HeaderSize])
+	if err != nil {
+		t.Fatal(err)
+	}
 	gn := NewNode(StaticChain{Store: src}, Config{MaxPeers: 1000})
 	t.Cleanup(func() { gn.Close() })
 
@@ -85,7 +94,7 @@ func TestHelloFirstWhileAnnouncing(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				gn.announce(tip, "")
+				gn.announce(raw, hdr, "")
 			}
 		}
 	}()
@@ -276,9 +285,12 @@ func TestStalledLightSubscriberGetsDropFlag(t *testing.T) {
 	if err := gn.SubmitLocal(last); err != nil {
 		t.Fatal(err)
 	}
-	tip, _ := gn.chain.TipHeight()
+	b, err := blockmodel.DecodeEBVBlock(last)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 2*subQueueLen; i++ {
-		gn.notifyLight(tip)
+		gn.notifyLight(b, b.Header.Hash(), time.Now())
 	}
 	if gn.LightStats().Dropped == 0 {
 		t.Fatal("no notification dropped behind a stalled subscriber")

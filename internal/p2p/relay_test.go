@@ -78,6 +78,17 @@ func richBlock(t testing.TB, src *chainstore.Store, minTxs int) (uint64, []byte)
 	}
 }
 
+// blockInfo decodes raw and indexes it for compact announcement, as
+// an announcing node does.
+func blockInfo(t testing.TB, raw []byte) *relay.BlockInfo {
+	t.Helper()
+	blk, err := blockmodel.DecodeEBVBlock(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return relay.NewBlockInfo(raw, blk)
+}
+
 // A compact announcement to a receiver whose mempool holds every
 // transaction must deliver the block with zero transactions fetched
 // and no full block on the wire.
@@ -302,10 +313,7 @@ func TestSilentGetBlockTxnPeerTimesOutToFallback(t *testing.T) {
 	conn, nonce := compactHandshake(t, gn.Addr(), h-1)
 	waitFor(t, "peer registered", func() bool { return gn.PeerCount() == 1 })
 
-	info, err := relay.NewBlockInfo(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := blockInfo(t, raw)
 	if err := conn.send(&wire.Message{Kind: wire.CmpctBlock, Height: h,
 		Payload: info.Compact(nonce).Encode(nil)}); err != nil {
 		t.Fatal(err)
@@ -353,10 +361,7 @@ func TestWrongBlockTxnStrikesAndFallsBack(t *testing.T) {
 	conn, nonce := compactHandshake(t, gn.Addr(), h-1)
 	waitFor(t, "peer registered", func() bool { return gn.PeerCount() == 1 })
 
-	info, err := relay.NewBlockInfo(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := blockInfo(t, raw)
 	if err := conn.send(&wire.Message{Kind: wire.CmpctBlock, Height: h,
 		Payload: info.Compact(nonce).Encode(nil)}); err != nil {
 		t.Fatal(err)
@@ -419,10 +424,7 @@ func TestWrongBlockTxnStrikesAndFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nextInfo, err := relay.NewBlockInfo(nextRaw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nextInfo := blockInfo(t, nextRaw)
 	if err := conn.send(&wire.Message{Kind: wire.CmpctBlock, Height: next,
 		Payload: nextInfo.Compact(nonce).Encode(nil)}); err != nil {
 		t.Fatal(err)

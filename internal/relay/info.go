@@ -25,15 +25,13 @@ type BlockInfo struct {
 	spans  [][2]int // [start, end) of each tx's encoding in Raw (length prefix excluded)
 }
 
-// NewBlockInfo indexes a serialized EBV block for compact
-// announcement. raw must outlive the info; it is aliased, not copied.
-func NewBlockInfo(raw []byte) (*BlockInfo, error) {
-	blk, err := blockmodel.DecodeEBVBlock(raw)
-	if err != nil {
-		return nil, err
-	}
+// NewBlockInfo indexes an EBV block for compact announcement from its
+// bytes and blk, their decode. blk may borrow raw and a scratch arena:
+// the info copies raw at its exact size and keeps only values read
+// from blk, so both may be recycled once it returns.
+func NewBlockInfo(raw []byte, blk *blockmodel.EBVBlock) *BlockInfo {
 	bi := &BlockInfo{
-		Raw:    raw,
+		Raw:    append(make([]byte, 0, len(raw)), raw...),
 		Header: blk.Header,
 		Hash:   blk.Header.Hash(),
 		stake:  make([]uint32, len(blk.Txs)),
@@ -44,8 +42,8 @@ func NewBlockInfo(raw []byte) (*BlockInfo, error) {
 		bi.stake[i] = tx.Tidy.StakePos
 		bi.leaves[i] = PoolLeaf(tx)
 	}
-	// Re-walk the raw framing for the per-tx byte ranges; the decode
-	// above already proved it well-formed.
+	// Re-walk the raw framing for the per-tx byte ranges; blk's decode
+	// already proved it well-formed.
 	off := blockmodel.HeaderSize
 	_, n := varint.Uvarint(raw[off:])
 	off += n
@@ -55,7 +53,7 @@ func NewBlockInfo(raw []byte) (*BlockInfo, error) {
 		bi.spans[i] = [2]int{off, off + int(l)}
 		off += int(l)
 	}
-	return bi, nil
+	return bi
 }
 
 // TxCount returns the number of transactions in the block.

@@ -6,6 +6,7 @@ import (
 
 	"ebv/internal/blockmodel"
 	"ebv/internal/hashx"
+	"ebv/internal/ingest"
 	"ebv/internal/merkle"
 	"ebv/internal/txmodel"
 )
@@ -165,7 +166,11 @@ func (r *Reconstructor) Assemble() ([]byte, error) {
 		raw = append(raw, s...)
 	}
 
-	blk, err := blockmodel.DecodeEBVBlock(raw)
+	// The check borrows a pooled scratch; raw itself stays a fresh
+	// allocation, since it outlives this call.
+	s := ingest.Get()
+	defer s.Release()
+	blk, err := s.DecodeEBVBlock(raw)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMismatch, err)
 	}

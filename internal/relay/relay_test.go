@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"ebv/internal/blockmodel"
 	"ebv/internal/chainstore"
 	"ebv/internal/hashx"
 	"ebv/internal/proof"
@@ -94,10 +95,7 @@ func richBlock(t *testing.T, chain *chainstore.Store, minTxs int) ([]byte, *Bloc
 		if err != nil {
 			t.Fatal(err)
 		}
-		info, err := NewBlockInfo(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
+		info := indexBlock(t, raw)
 		if info.TxCount() >= minTxs {
 			return raw, info
 		}
@@ -105,6 +103,16 @@ func richBlock(t *testing.T, chain *chainstore.Store, minTxs int) ([]byte, *Bloc
 			t.Fatalf("no block with >= %d txs in the test chain", minTxs)
 		}
 	}
+}
+
+// indexBlock decodes raw and indexes it for compact announcement.
+func indexBlock(t *testing.T, raw []byte) *BlockInfo {
+	t.Helper()
+	blk, err := blockmodel.DecodeEBVBlock(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewBlockInfo(raw, blk)
 }
 
 func TestShortID(t *testing.T) {
@@ -225,10 +233,7 @@ func TestReconstructionEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		info, err := NewBlockInfo(raw)
-		if err != nil {
-			t.Fatalf("block %d: %v", h, err)
-		}
+		info := indexBlock(t, raw)
 		src := sourceFor(t, info, func(int) bool { return true })
 		rec := NewReconstructor(info.Compact(salt), salt, src)
 		if !rec.Complete() {

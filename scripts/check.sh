@@ -26,16 +26,20 @@ echo "== go test -race =="
 # database's two-phase commit and shallow snapshots.
 go test -race ./...
 
-echo "== flake loop (concurrent soak, whole-commit reads, byte counters, peer out-queues) =="
+echo "== flake loop (concurrent soak, whole-commit reads, byte counters, peer out-queues, post-accept pass) =="
 # The soak and byte-counter tests once failed only some of the time;
 # TestBatchProbeSeesWholeCommit races batch probes and UnspentCount
 # against commits and fails only when a reader catches one half
 # applied; the out-queue tests race announcements against handshakes
-# and stall peers mid-stream. -count=20 (which also bypasses the test
-# cache) makes a reintroduced flake fail here instead of
-# intermittently.
-go test -count=20 -run 'TestStatusDBConcurrentSoak|TestBatchProbeSeesWholeCommit|TestByteCounters|TestHelloFirstWhileAnnouncing|TestNeverReadingSubmitter|TestPacedBlockServingStalls|TestStalledLightSubscriberGetsDropFlag' \
+# and stall peers mid-stream; the post-accept tests wait on pipe peers
+# and a second node. -count=20 (which also bypasses the test cache)
+# makes a reintroduced flake fail here instead of intermittently.
+go test -count=20 -run 'TestStatusDBConcurrentSoak|TestBatchProbeSeesWholeCommit|TestByteCounters|TestHelloFirstWhileAnnouncing|TestNeverReadingSubmitter|TestPacedBlockServingStalls|TestStalledLightSubscriberGetsDropFlag|TestTipExtensionReadsNoBlockBytes|TestAnnounceKeepsNothingOfTheScratch|TestReorgAnnouncesOnlyCommittedTip' \
 	./internal/statusdb ./internal/p2p
+# The announcement's relay index and light pushes must share nothing
+# with the pooled decode scratch; the race detector reports any byte
+# they still share while the test poisons it.
+go test -race -count=5 -run 'TestAnnounceKeepsNothingOfTheScratch' ./internal/p2p
 
 echo "== status database consistency loop (-race) =="
 # One lock over the status database: every probe, batch and aggregate
