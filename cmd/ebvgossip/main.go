@@ -56,7 +56,6 @@ func main() {
 		fastsync  = flag.Bool("fastsync", false, "bootstrap from the -connect peers via state-sync snapshots before gossiping")
 		trustGen  = flag.String("trustgenesis", "", "hex genesis header hash a fast-sync snapshot must build on (anchor for an empty datadir)")
 		minBits   = flag.Uint("minbits", 0, "minimum per-header proof-of-work bits a fast-sync snapshot must declare")
-		forks     = flag.Bool("forkchoice", true, "accept competing branches and reorg to the heaviest (off: tip extensions only)")
 		maxReorg  = flag.Int("maxreorg", 0, "deepest reorg the fork-choice engine will execute (0 = default 128)")
 		sideBlks  = flag.Int("sideblocks", 0, "side-block/orphan bodies kept for fork choice (0 = default 256)")
 		txSubmit  = flag.Bool("txsubmit", true, "serve transaction submissions (tx/txack) through the admission service")
@@ -71,7 +70,7 @@ func main() {
 		compact   = flag.Bool("compact", true, "announce new blocks to capable peers as short-id compact blocks (kinds 14-16); needs -txsubmit for the mempool index")
 		relayTO   = flag.Duration("relaytimeout", 0, "longest wait for missing compact-block transactions before falling back to a full fetch (0 = default 5s)")
 		mineEvery = flag.Duration("mine", 0, "poll the mempool at this interval and mine pending transactions into a block (0 = off; needs -txsubmit)")
-		lightSrv  = flag.Bool("lightserve", false, "serve light clients (kinds 17-20): filter subscriptions, push notifications, blocks by hash; needs -forkchoice")
+		lightSrv  = flag.Bool("lightserve", false, "serve light clients (kinds 17-20): filter subscriptions, push notifications, blocks by hash")
 		statsEvry = flag.Duration("statsevery", 0, "emit a JSON line of wire/relay/light counters to stderr at this interval (0 = off)")
 	)
 	flag.Parse()
@@ -156,23 +155,17 @@ func main() {
 		cfg.Relay = n.Pool
 		cfg.RelayTimeout = *relayTO
 	}
-	if *forks {
-		// Reorg and eviction events always reach stderr — a chain switch
-		// is operationally significant even under -quiet.
-		cfg.Forks = n.EnableForkChoice(forkchoice.Config{
-			MaxReorgDepth: *maxReorg,
-			MaxSideBlocks: *sideBlks,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		})
-	}
-	if *lightSrv {
-		if !*forks {
-			fail(fmt.Errorf("-lightserve needs -forkchoice for the hash-addressed block index"))
-		}
-		cfg.LightServe = true
-	}
+	// Competing branches park or reorg to the heaviest. Reorg and
+	// eviction events always reach stderr — a chain switch is
+	// operationally significant even under -quiet.
+	cfg.Forks = n.EnableForkChoice(forkchoice.Config{
+		MaxReorgDepth: *maxReorg,
+		MaxSideBlocks: *sideBlks,
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
+		},
+	})
+	cfg.LightServe = *lightSrv
 	if !*quiet {
 		cfg.OnBlock = func(h uint64, from string) {
 			src := "local"

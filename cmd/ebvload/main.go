@@ -20,7 +20,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -118,7 +117,7 @@ func run(addr string, txs [][]byte, clients int, rate float64, timeout time.Dura
 		s, err := dial(addr)
 		if err != nil {
 			for _, prev := range conns[:c] {
-				prev.conn.Close()
+				prev.conn.Close(nil)
 			}
 			return nil, fmt.Errorf("client %d: %w", c, err)
 		}
@@ -136,7 +135,7 @@ func run(addr string, txs [][]byte, clients int, rate float64, timeout time.Dura
 		wg.Add(1)
 		go func(c int, s *submitter) {
 			defer wg.Done()
-			defer s.conn.Close()
+			defer s.conn.Close(nil)
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
@@ -151,8 +150,7 @@ func run(addr string, txs [][]byte, clients int, rate float64, timeout time.Dura
 				}
 				atomic.StoreInt64(&sendNanos[j], time.Now().UnixNano())
 				if err := s.write(uint64(j), txs[j]); err != nil {
-					s.err = err
-					break
+					break // closed: the reader reports why
 				}
 			}
 			<-done
@@ -215,9 +213,7 @@ func percentile(sorted []float64, q float64) float64 {
 
 // submitter is one load connection.
 type submitter struct {
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
+	conn *wire.Conn
 
 	err      error
 	admitted int
@@ -225,47 +221,32 @@ type submitter struct {
 	lats     []float64 // ms, acked only
 }
 
-// dial connects and completes the hello exchange. The server speaks
-// first on accept; echoing its height back keeps both sides idle (no
-// block sync in either direction), and a featureless hello stays
-// byte-compatible with any peer.
+// dial connects and completes the hello exchange. A featureless hello
+// at height 0 keeps the server idle (it has nothing to pull from us)
+// and stays byte-compatible with any peer.
 func dial(addr string) (*submitter, error) {
-	conn, err := net.Dial("tcp", addr)
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s := &submitter{
-		conn:    conn,
-		r:       bufio.NewReader(conn),
-		w:       bufio.NewWriter(conn),
-		rejects: make(map[byte]int),
-	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	hello, err := wire.Read(s.r)
+	conn := wire.NewConn(nc, wire.ConnConfig{})
+	hello, err := conn.Handshake(&wire.Message{Kind: wire.Hello, Height: 0}, 10*time.Second)
 	if err != nil {
-		conn.Close()
+		conn.Close(nil)
 		return nil, fmt.Errorf("reading hello (server full?): %w", err)
 	}
-	if hello.Kind != wire.Hello {
-		conn.Close()
-		return nil, fmt.Errorf("expected hello, got kind %d", hello.Kind)
-	}
 	if hello.Features&wire.FeatureTxSubmit == 0 {
-		conn.Close()
+		conn.Close(nil)
 		return nil, fmt.Errorf("server does not advertise tx submission (features %08b)", hello.Features)
 	}
-	if err := wire.Write(s.w, &wire.Message{Kind: wire.Hello, Height: hello.Height}); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return s, nil
+	return &submitter{conn: conn, rejects: make(map[byte]int)}, nil
 }
 
-// write frames one submission; the reader goroutine owns the other
-// half of the socket, so no lock is needed.
+// write queues one submission once the previous ones have left, so a
+// producer faster than the socket waits instead of overflowing the
+// out-queue.
 func (s *submitter) write(reqid uint64, raw []byte) error {
-	s.conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	return wire.Write(s.w, &wire.Message{Kind: wire.Tx, Height: reqid, Payload: raw})
+	return s.conn.SendPaced(&wire.Message{Kind: wire.Tx, Height: reqid, Payload: raw}, 0)
 }
 
 // read collects acks until every owned submission is answered or the
@@ -273,8 +254,7 @@ func (s *submitter) write(reqid uint64, raw []byte) error {
 // are skipped.
 func (s *submitter) read(sendNanos []int64, want int, deadline time.Time) {
 	for got := 0; got < want; {
-		s.conn.SetReadDeadline(deadline)
-		m, err := wire.Read(s.r)
+		m, err := s.conn.Read(deadline)
 		if err != nil {
 			if s.err == nil {
 				s.err = fmt.Errorf("after %d/%d acks: %w", got, want, err)

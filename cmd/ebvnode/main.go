@@ -99,9 +99,6 @@ func main() {
 				}
 				cfg.FastSync.TrustedGenesis = h
 			}
-			// With a local source chain, the snapshot-to-tip gap
-			// replays through the pipelined catch-up inside NewEBVNode.
-			cfg.CatchUpSource = src
 		}
 		n, err := node.NewEBVNode(cfg)
 		if err != nil {
@@ -113,12 +110,10 @@ func main() {
 			fmt.Printf("  snapshot tip %d (%d chunks, %d resumed, %d bytes received)\n",
 				fs.TipHeight, fs.Chunks, fs.ChunksResumed, fs.BytesReceived)
 		}
-		if cu := n.CatchUpResult; cu != nil && cu.Blocks > 0 {
-			fmt.Printf("EBV catch-up complete in %s\n", cu.Wall.Round(time.Millisecond))
-			fmt.Printf("  blocks %d-%d (%d blocks, %d inputs)\n",
-				cu.StartHeight, cu.EndHeight, cu.Blocks, cu.Breakdown.Inputs)
-		}
-		if src != nil && n.CatchUpResult == nil {
+		// With a local source chain, a fast-synced node replays the
+		// snapshot-to-tip gap like any other IBD: from its tip, under
+		// -depth.
+		if src != nil {
 			res, err := node.RunIBDEBV(src, n, *period, progress)
 			if err != nil {
 				fail(err)

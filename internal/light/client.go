@@ -1,8 +1,6 @@
 package light
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -32,7 +30,8 @@ type Config struct {
 	// ReadTimeout bounds the wait for each inbound message. Default 2
 	// minutes.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds each outbound write. Default 30 seconds.
+	// WriteTimeout bounds each drain of the outbound queue; a server
+	// that stops reading for longer ends the client. Default 30 seconds.
 	WriteTimeout time.Duration
 }
 
@@ -58,20 +57,21 @@ type Stats struct {
 // subscribes its filter, and verifies the pushed blocks that match —
 // never downloading a block it did not ask for by hash.
 type Client struct {
-	cfg  Config
-	hc   *HeaderChain
-	eng  *script.Engine
-	conn net.Conn
-	r    *bufio.Reader
-
-	wmu sync.Mutex
-	w   *bufio.Writer
+	cfg Config
+	hc  *HeaderChain
+	eng *script.Engine
+	// conn is the wire session. The read loop only queues requests on
+	// it: if both ends' read loops blocked in a write at once (easy over
+	// an unbuffered net.Pipe, possible over a full TCP buffer), neither
+	// side would read and the connection would deadlock.
+	conn *wire.Conn
 
 	serverFeatures byte
 
 	// pending parks lightblock payloads whose headers have not arrived
 	// yet; notified records each announced hash's subupdate arrival
-	// time for the push-to-verify clock.
+	// time for the push-to-verify clock until the block's final outcome
+	// (verified, failed, unavailable or dropped).
 	pending  map[hashx.Hash][]byte
 	notified map[hashx.Hash]time.Time
 
@@ -85,25 +85,14 @@ type Client struct {
 	verifyNanos      atomic.Int64
 	pushVerifyNanos  atomic.Int64
 
-	// out feeds the writer goroutine. The read loop never writes to the
-	// connection directly: if both ends' read loops block in a send at
-	// once (easy over an unbuffered net.Pipe, possible over a full TCP
-	// buffer), neither side reads and the connection deadlocks.
-	out chan *wire.Message
-
-	synced    chan struct{}
-	syncOnce  sync.Once
-	done      chan struct{}
-	closeOnce sync.Once
-	err       error
+	synced   chan struct{}
+	syncOnce sync.Once
+	done     chan struct{}
+	err      error
 }
 
-// outQueueLen bounds queued outbound control messages. They are tiny
-// and request-shaped; a backlog this deep means the server stopped
-// reading, and enqueue failure tears the connection down.
-const outQueueLen = 64
-
-// maxPendingBlocks bounds parked lightblock payloads awaiting headers.
+// maxPendingBlocks bounds parked lightblock payloads awaiting headers,
+// and likewise the subupdate arrival times awaiting their block.
 const maxPendingBlocks = 64
 
 // Dial connects to a full node and starts the client.
@@ -114,7 +103,6 @@ func Dial(addr string, cfg Config) (*Client, error) {
 	}
 	c := NewClient(conn, cfg)
 	if err := c.Start(); err != nil {
-		conn.Close()
 		return nil, err
 	}
 	return c, nil
@@ -129,19 +117,13 @@ func NewClient(conn net.Conn, cfg Config) *Client {
 	if cfg.ReadTimeout <= 0 {
 		cfg.ReadTimeout = 2 * time.Minute
 	}
-	if cfg.WriteTimeout <= 0 {
-		cfg.WriteTimeout = 30 * time.Second
-	}
 	return &Client{
 		cfg:      cfg,
 		hc:       NewHeaderChain(),
 		eng:      script.NewEngine(cfg.Scheme),
-		conn:     conn,
-		r:        bufio.NewReader(conn),
-		w:        bufio.NewWriter(conn),
+		conn:     wire.NewConn(conn, wire.ConnConfig{WriteTimeout: cfg.WriteTimeout, Logf: cfg.Logf}),
 		pending:  make(map[hashx.Hash][]byte),
 		notified: make(map[hashx.Hash]time.Time),
-		out:      make(chan *wire.Message, outQueueLen),
 		synced:   make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -153,67 +135,28 @@ func (c *Client) logf(format string, args ...any) {
 	}
 }
 
-func (c *Client) send(m *wire.Message) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
-	err := wire.Write(c.w, m)
-	c.conn.SetWriteDeadline(time.Time{})
-	return err
-}
-
-// enqueue hands m to the writer goroutine. Called from the read loop,
-// which must never block on the connection itself — see the out field.
-func (c *Client) enqueue(m *wire.Message) error {
-	select {
-	case c.out <- m:
-		return nil
-	default:
-		return fmt.Errorf("light: outbound queue full (%d messages)", outQueueLen)
-	}
-}
-
-// writeLoop drains the outbound queue onto the connection.
-func (c *Client) writeLoop() {
-	for {
-		select {
-		case m := <-c.out:
-			if c.send(m) != nil {
-				// The read loop surfaces the connection error.
-				return
-			}
-		case <-c.done:
-			return
-		}
-	}
-}
-
-// Start performs the handshake and launches the read loop. The gossip
-// server sends its hello first, so the client reads before writing —
-// over an unbuffered in-memory pipe a write-first client would
-// deadlock against the server's own hello write.
+// Start performs the handshake and launches the read loop. The hello
+// goes out first and the server's is read meanwhile, so neither side
+// has to speak first.
 func (c *Client) Start() error {
-	c.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	first, err := wire.Read(c.r)
-	if err != nil || first.Kind != wire.Hello {
+	first, err := c.conn.Handshake(&wire.Message{Kind: wire.Hello, Height: 0}, 10*time.Second)
+	if err != nil {
+		c.conn.Close(nil)
 		return fmt.Errorf("light: handshake: %v", err)
 	}
 	c.serverFeatures = first.Features
-	if err := c.send(&wire.Message{Kind: wire.Hello, Height: 0}); err != nil {
-		return fmt.Errorf("light: handshake: %w", err)
-	}
 	if c.cfg.Filter != nil {
 		if first.Features&wire.FeatureLightServe == 0 {
+			c.conn.Close(nil)
 			return fmt.Errorf("light: server does not serve the light tier (features %08b)", first.Features)
 		}
-		if err := c.send(&wire.Message{Kind: wire.Subscribe, Payload: c.cfg.Filter.Encode(nil)}); err != nil {
+		if err := c.conn.Send(&wire.Message{Kind: wire.Subscribe, Payload: c.cfg.Filter.Encode(nil)}); err != nil {
 			return fmt.Errorf("light: subscribe: %w", err)
 		}
 	}
 	if err := c.sendGetHeaders(); err != nil {
 		return fmt.Errorf("light: getheaders: %w", err)
 	}
-	go c.writeLoop()
 	go c.readLoop()
 	return nil
 }
@@ -243,7 +186,7 @@ func (c *Client) Err() error {
 
 // Close tears the connection down and waits for the read loop.
 func (c *Client) Close() {
-	c.closeOnce.Do(func() { c.conn.Close() })
+	c.conn.Close(nil)
 	<-c.done
 }
 
@@ -274,20 +217,15 @@ func (c *Client) sendGetHeaders() error {
 	if len(loc) > wire.MaxLocator {
 		loc = loc[:wire.MaxLocator]
 	}
-	return c.enqueue(&wire.Message{Kind: wire.GetHeaders, Hashes: loc})
+	return c.conn.Send(&wire.Message{Kind: wire.GetHeaders, Hashes: loc})
 }
 
 func (c *Client) readLoop() {
 	defer close(c.done)
-	defer c.closeOnce.Do(func() { c.conn.Close() })
+	defer c.conn.Close(nil)
 	for {
-		c.conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
-		m, err := wire.Read(c.r)
+		m, err := c.conn.Read(time.Now().Add(c.cfg.ReadTimeout))
 		if err != nil {
-			if m != nil && errors.Is(err, wire.ErrUnknownKind) {
-				c.logf("light: skipping unknown message kind %d", m.Kind)
-				continue
-			}
 			c.err = err
 			return
 		}
@@ -345,13 +283,16 @@ func (c *Client) handle(m *wire.Message) error {
 				return err
 			}
 		}
-		c.notified[m.Hash] = time.Now()
+		if len(c.notified) < maxPendingBlocks {
+			c.notified[m.Hash] = time.Now()
+		}
 		c.blocksRequested.Add(1)
-		return c.enqueue(&wire.Message{Kind: wire.GetLightBlock, Hash: m.Hash})
+		return c.conn.Send(&wire.Message{Kind: wire.GetLightBlock, Hash: m.Hash})
 
 	case wire.LightBlock:
 		if len(m.Payload) == 0 {
 			c.unavailable.Add(1)
+			delete(c.notified, m.Hash)
 			return nil
 		}
 		if _, known := c.hc.HeightOf(m.Hash); !known {
@@ -359,6 +300,8 @@ func (c *Client) handle(m *wire.Message) error {
 			// and resolve the header first.
 			if len(c.pending) < maxPendingBlocks {
 				c.pending[m.Hash] = m.Payload
+			} else {
+				delete(c.notified, m.Hash)
 			}
 			return c.sendGetHeaders()
 		}
@@ -393,15 +336,16 @@ func (c *Client) verifyPushed(h hashx.Hash, raw []byte) {
 	start := time.Now()
 	b, err := VerifyBlock(c.hc, raw, c.eng)
 	c.verifyNanos.Add(int64(time.Since(start)))
+	t, timed := c.notified[h]
+	delete(c.notified, h)
 	if err != nil {
 		c.verifyFailures.Add(1)
 		c.logf("light: pushed block %s failed verification: %v", h.Short(), err)
 		return
 	}
 	c.blocksVerified.Add(1)
-	if t, ok := c.notified[h]; ok {
+	if timed {
 		c.pushVerifyNanos.Add(int64(time.Since(t)))
-		delete(c.notified, h)
 	}
 	if c.cfg.OnBlock != nil {
 		c.cfg.OnBlock(b.Header.Height, h, b)

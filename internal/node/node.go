@@ -71,9 +71,8 @@ type Config struct {
 	// pipeline (internal/pipeline): structure checks and EV+SV proof
 	// verification of up to PipelineDepth future blocks overlap the
 	// sequential UV probes and commit of the current one. RunIBDEBV
-	// at 0 replays one block at a time; post-fast-sync catch-up always
-	// pipelines (0 runs at depth 1). Failure behavior is identical to
-	// the sequential path (same first error at the same height).
+	// at 0 replays one block at a time. Failure behavior is identical
+	// to the sequential path (same first error at the same height).
 	PipelineDepth int
 	// FastSync, when non-nil with peers configured, bootstraps an
 	// empty EBV node from peer snapshots inside NewEBVNode before the
@@ -81,11 +80,6 @@ type Config struct {
 	// under Dir). Dir and SnapshotPath are derived from the node's own
 	// layout; the remaining fields pass through to statesync.FastSync.
 	FastSync *statesync.Config
-	// CatchUpSource, when set together with FastSync, is replayed into
-	// the node right after the bootstrap installs (statesync.CatchUp):
-	// the blocks between the snapshot's base height and the source tip
-	// run through the validation pipeline before NewEBVNode returns.
-	CatchUpSource *chainstore.Store
 	// Admission, when non-nil, attaches a mempool and the concurrent
 	// transaction-admission front end (internal/admission) to the node:
 	// Pool and Admission are populated, connected blocks evict included
@@ -271,9 +265,6 @@ type EBVNode struct {
 	// FastSyncResult is set when this node bootstrapped (or resumed a
 	// bootstrap) via Config.FastSync.
 	FastSyncResult *statesync.Result
-	// CatchUpResult is set when the node replayed a Config.CatchUpSource
-	// tail right after its fast-sync bootstrap.
-	CatchUpResult *statesync.CatchUpResult
 	// Forks, when set via EnableForkChoice, routes competing-branch
 	// blocks through the reorg engine.
 	Forks *forkchoice.Engine
@@ -337,17 +328,6 @@ func NewEBVNode(cfg Config) (*EBVNode, error) {
 	n.Validator = core.NewEBVValidator(status, script.NewEngine(cfg.scheme()), chain, opts...)
 	n.pipeDepth = cfg.PipelineDepth
 	n.pipeWorkers = cfg.ParallelValidation
-	// A bootstrapped node is current only up to the snapshot's base
-	// height; replay the remaining blocks through the pipeline before
-	// handing the node out.
-	if cfg.FastSync != nil && cfg.CatchUpSource != nil {
-		res, err := statesync.CatchUp(cfg.CatchUpSource, chain, n.Validator, cfg.PipelineDepth, cfg.ParallelValidation, cfg.FastSync.Logf)
-		if err != nil {
-			chain.Close()
-			return nil, fmt.Errorf("node: catch-up: %w", err)
-		}
-		n.CatchUpResult = res
-	}
 	// Disconnects recreate fully spent vectors; resolve output counts
 	// from the stored blocks, memoized by header hash — a reorg can
 	// replace the block at a height, so a height-keyed memo would serve

@@ -199,7 +199,7 @@ func (n *Node) lightDrain(s *lightSub) {
 			if s.dropped.Swap(false) {
 				flags |= 1
 			}
-			err := s.p.sendPaced(&wire.Message{
+			err := s.p.SendPaced(&wire.Message{
 				Kind: wire.SubUpdate, Height: nt.height, Hash: nt.hash,
 				Count: nt.matched, Code: flags,
 			}, 0)
@@ -295,5 +295,5 @@ func (n *Node) handleGetLightBlock(p *peer, m *wire.Message) error {
 			n.light.stats.BlocksServed.Add(1)
 		}
 	}
-	return p.send(&wire.Message{Kind: wire.LightBlock, Hash: m.Hash, Height: height, Payload: payload})
+	return p.Send(&wire.Message{Kind: wire.LightBlock, Hash: m.Hash, Height: height, Payload: payload})
 }

@@ -6,7 +6,6 @@ import (
 	"math/big"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ebv/internal/admission"
@@ -111,14 +110,12 @@ type Node struct {
 	closing bool
 	syncing bool
 
-	bytesIn  atomic.Int64
-	bytesOut atomic.Int64
-	traffic  traffic
+	traffic wire.Counters
 
 	relay relayState
 	light lightState
 
-	// queueBudget is each peer's out-queue byte budget (see peer.go).
+	// queueBudget is each peer's out-queue byte budget (see wire.Conn).
 	queueBudget int
 
 	wg sync.WaitGroup
@@ -138,7 +135,7 @@ func NewNode(chain Chain, cfg Config) *Node {
 	if cfg.RelayTimeout <= 0 {
 		cfg.RelayTimeout = 5 * time.Second
 	}
-	n := &Node{chain: chain, cfg: cfg, peers: make(map[string]*peer), queueBudget: defaultQueueBudget}
+	n := &Node{chain: chain, cfg: cfg, peers: make(map[string]*peer), queueBudget: wire.DefaultBudget}
 	n.relay.init()
 	n.light.init()
 	return n
@@ -173,11 +170,11 @@ func (n *Node) features() byte {
 
 // BytesRead returns the total bytes received over all peer
 // connections since the node was created.
-func (n *Node) BytesRead() int64 { return n.bytesIn.Load() }
+func (n *Node) BytesRead() int64 { return n.traffic.BytesIn.Load() }
 
 // BytesWritten returns the total bytes sent over all peer connections
 // since the node was created.
-func (n *Node) BytesWritten() int64 { return n.bytesOut.Load() }
+func (n *Node) BytesWritten() int64 { return n.traffic.BytesOut.Load() }
 
 // Start begins accepting peers. It returns the bound address.
 func (n *Node) Start() (string, error) {
@@ -254,7 +251,7 @@ func (n *Node) Close() error {
 		n.ln.Close()
 	}
 	for _, p := range n.peers {
-		p.close(nil)
+		p.Close(nil)
 	}
 	n.mu.Unlock()
 	n.wg.Wait()
@@ -262,10 +259,21 @@ func (n *Node) Close() error {
 }
 
 // handleConn runs the lifetime of one connection (either direction).
-func (n *Node) handleConn(raw net.Conn) {
-	conn := &countingConn{Conn: raw, in: &n.bytesIn, out: &n.bytesOut}
-	p := newPeer(raw.RemoteAddr().String(), conn, n.cfg.WriteTimeout, n.queueBudget, &n.traffic)
-	defer p.close(nil)
+func (n *Node) handleConn(conn net.Conn) {
+	p := &peer{id: conn.RemoteAddr().String(), nonce: newNonce()}
+	p.Conn = wire.NewConn(conn, wire.ConnConfig{
+		WriteTimeout: n.cfg.WriteTimeout,
+		Budget:       n.queueBudget,
+		Counters:     &n.traffic,
+		Logf: func(format string, args ...any) {
+			n.logf("peer %s: "+format, append([]any{p.id}, args...)...)
+		},
+	})
+	// Node.Close waits for this: the writer is gone once the peer is.
+	defer func() {
+		p.Close(nil)
+		p.Wait()
+	}()
 
 	n.mu.Lock()
 	if n.closing || len(n.peers) >= n.cfg.MaxPeers {
@@ -290,25 +298,16 @@ func (n *Node) handleConn(raw net.Conn) {
 	// Handshake: exchange tips, feature bits, (between fork-choice
 	// peers) cumulative tip work, and (between compact-relay peers) the
 	// short-id salt nonces. The tip is read after registration, so a
-	// block accepted meanwhile is either in it or announced to p.
+	// block accepted meanwhile is either in it or announced to p; such
+	// an announcement may already be queued, but the hello goes to the
+	// head of the queue and is the first frame on the wire.
 	tip, ok := n.chain.TipHeight()
 	hello := &wire.Message{Kind: wire.Hello, Height: tipField(tip, ok), Features: n.features(), Nonce: p.nonce}
 	if n.cfg.Forks != nil {
 		hello.TipWork = n.cfg.Forks.TipWork()
 	}
-	// Such an announcement may already be queued, but p's writer has
-	// not started yet: the hello goes to the head of the queue and is
-	// the first frame on the wire.
-	p.sendFirst(hello)
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		p.writeLoop()
-	}()
-
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	first, err := wire.Read(p.r)
-	if err != nil || first.Kind != wire.Hello {
+	first, err := p.Handshake(hello, 10*time.Second)
+	if err != nil {
 		return
 	}
 	p.features.Store(uint32(first.Features))
@@ -330,21 +329,8 @@ func (n *Node) handleConn(raw net.Conn) {
 	// than ReadTimeout is dropped rather than pinning this goroutine
 	// (and a peer slot) forever.
 	for {
-		conn.SetReadDeadline(time.Now().Add(n.cfg.ReadTimeout))
-		m, frame, err := wire.ReadCounted(p.r)
-		if m != nil {
-			n.traffic.count(m.Kind, frame, true)
-		}
+		m, err := p.Read(time.Now().Add(n.cfg.ReadTimeout))
 		if err != nil {
-			// A kind from a newer protocol version is not an offence:
-			// the frame was consumed, log it and keep the connection.
-			if errors.Is(err, wire.ErrUnknownKind) {
-				n.logf("peer %s: skipping unknown message kind %d", p.id, m.Kind)
-				continue
-			}
-			if cause := p.closeReason(); cause != nil {
-				err = cause
-			}
 			n.logf("peer %s: read: %v", p.id, err)
 			return
 		}
@@ -366,7 +352,7 @@ func tipField(tip uint64, ok bool) uint64 {
 
 // requestFrom asks p for the next batch of blocks starting at from.
 func (n *Node) requestFrom(p *peer, from uint64) {
-	_ = p.send(&wire.Message{Kind: wire.GetBlocks, Height: from, Count: wire.MaxBatch})
+	_ = p.Send(&wire.Message{Kind: wire.GetBlocks, Height: from, Count: wire.MaxBatch})
 }
 
 // sendGetHeaders asks p for headers above our chain, identified by a
@@ -384,7 +370,7 @@ func (n *Node) sendGetHeaders(p *peer) {
 	if len(loc) > wire.MaxLocator {
 		loc = loc[:wire.MaxLocator]
 	}
-	_ = p.send(&wire.Message{Kind: wire.GetHeaders, Hashes: loc})
+	_ = p.Send(&wire.Message{Kind: wire.GetHeaders, Hashes: loc})
 }
 
 // handleMessage processes one inbound message.
@@ -435,7 +421,7 @@ func (n *Node) handleMessage(p *peer, m *wire.Message) error {
 			// own reader goroutine, so waiting for its queue to drain holds
 			// back only that peer, and half the budget stays free for
 			// announcements and acks.
-			if err := p.sendPaced(&wire.Message{Kind: wire.Block, Height: h, Payload: raw}, p.budget/2); err != nil {
+			if err := p.SendPaced(&wire.Message{Kind: wire.Block, Height: h, Payload: raw}, n.queueBudget/2); err != nil {
 				return err
 			}
 		}
@@ -473,7 +459,7 @@ func (n *Node) handleMessage(p *peer, m *wire.Message) error {
 				}
 			}
 		}
-		return p.send(&wire.Message{Kind: wire.Headers, Payload: payload})
+		return p.Send(&wire.Message{Kind: wire.Headers, Payload: payload})
 
 	case wire.Headers:
 		if n.cfg.Forks == nil || len(m.Payload) == 0 {
@@ -498,7 +484,7 @@ func (n *Node) handleMessage(p *peer, m *wire.Message) error {
 		if len(want) == 0 {
 			return nil
 		}
-		return p.send(&wire.Message{Kind: wire.GetData, Hashes: want})
+		return p.Send(&wire.Message{Kind: wire.GetData, Hashes: want})
 
 	case wire.GetData:
 		if n.cfg.Forks == nil {
@@ -510,7 +496,7 @@ func (n *Node) handleMessage(p *peer, m *wire.Message) error {
 				continue // evicted or never had it; peer re-resolves via headers
 			}
 			// Paced like the getblocks loop above.
-			if err := p.sendPaced(&wire.Message{Kind: wire.Block, Height: height, Payload: raw}, p.budget/2); err != nil {
+			if err := p.SendPaced(&wire.Message{Kind: wire.Block, Height: height, Payload: raw}, n.queueBudget/2); err != nil {
 				return err
 			}
 		}
@@ -525,7 +511,7 @@ func (n *Node) handleMessage(p *peer, m *wire.Message) error {
 				mb = b
 			}
 		}
-		return p.send(&wire.Message{Kind: wire.Manifest, Payload: mb})
+		return p.Send(&wire.Message{Kind: wire.Manifest, Payload: mb})
 
 	case wire.GetChunk:
 		// Likewise an empty chunk payload means "unavailable" (a valid
@@ -541,7 +527,7 @@ func (n *Node) handleMessage(p *peer, m *wire.Message) error {
 				cb = b
 			}
 		}
-		return p.send(&wire.Message{Kind: wire.Chunk, Height: m.Height, Payload: cb})
+		return p.Send(&wire.Message{Kind: wire.Chunk, Height: m.Height, Payload: cb})
 
 	case wire.Tx:
 		// Transaction submission. The intake stage runs here on the
@@ -557,10 +543,10 @@ func (n *Node) handleMessage(p *peer, m *wire.Message) error {
 		if n.cfg.TxSubmit == nil {
 			// Not serving admission (the peer ignored our feature bits):
 			// answer rather than leave the submitter waiting.
-			return p.send(&wire.Message{Kind: wire.TxAck, Height: reqid, Code: admission.CodeClosed})
+			return p.Send(&wire.Message{Kind: wire.TxAck, Height: reqid, Code: admission.CodeClosed})
 		}
 		n.cfg.TxSubmit.SubmitAsync(p.id, m.Payload, func(r admission.Result) {
-			_ = p.send(&wire.Message{Kind: wire.TxAck, Height: reqid, Code: r.Code, Hash: r.ID})
+			_ = p.Send(&wire.Message{Kind: wire.TxAck, Height: reqid, Code: r.Code, Hash: r.ID})
 		})
 		return nil
 
@@ -712,11 +698,11 @@ func (n *Node) announce(raw []byte, hdr blockmodel.Header, except string) {
 	for _, p := range targets {
 		if info != nil && p.hasFeature(wire.FeatureCompactRelay) {
 			c := info.Compact(p.nonce)
-			_ = p.send(&wire.Message{Kind: wire.CmpctBlock, Height: hdr.Height, Payload: c.Encode(nil)})
+			_ = p.Send(&wire.Message{Kind: wire.CmpctBlock, Height: hdr.Height, Payload: c.Encode(nil)})
 			n.relay.stats.CompactSent.Add(1)
 			continue
 		}
-		_ = p.send(&wire.Message{Kind: wire.Inv, Height: hdr.Height, Hash: hash})
+		_ = p.Send(&wire.Message{Kind: wire.Inv, Height: hdr.Height, Hash: hash})
 	}
 }
 

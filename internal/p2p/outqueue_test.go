@@ -60,13 +60,6 @@ func pipePeer(gn *Node) *peer {
 	return nil
 }
 
-// queuedNow reads p's charged queue bytes.
-func queuedNow(p *peer) int {
-	p.qmu.Lock()
-	defer p.qmu.Unlock()
-	return p.queued
-}
-
 // TestHelloFirstWhileAnnouncing: blocks announced while peers connect
 // must never put an inv on the wire ahead of the node's hello — the
 // remote would read it as a failed handshake and drop the connection.
@@ -180,8 +173,8 @@ func TestNeverReadingSubmitter(t *testing.T) {
 	if p == nil {
 		t.Fatal("stalled peer not registered")
 	}
-	ackBytes := queuedBytes(&wire.Message{Kind: wire.TxAck})
-	waitFor(t, "acks held for the stalled submitter", func() bool { return queuedNow(p) >= held*ackBytes })
+	ackBytes := wire.QueuedBytes(&wire.Message{Kind: wire.TxAck})
+	waitFor(t, "acks held for the stalled submitter", func() bool { return p.Queued() >= held*ackBytes })
 
 	// Another submitter's ack arrives promptly.
 	c := dialTxClient(t, gn.Addr())
@@ -211,7 +204,7 @@ func TestNeverReadingSubmitter(t *testing.T) {
 	// Keep submitting: the queue stays within budget until the peer is
 	// dropped for overflowing it.
 	for i := held; ; i++ {
-		if q := queuedNow(p); q > budget {
+		if q := p.Queued(); q > budget {
 			t.Fatalf("stalled queue holds %d bytes, budget %d", q, budget)
 		}
 		if err := submit(uint64(i), garbage); err != nil {
@@ -222,7 +215,7 @@ func TestNeverReadingSubmitter(t *testing.T) {
 		}
 	}
 	waitFor(t, "stalled peer removed", func() bool { return pipePeer(gn) == nil })
-	if err := p.closeReason(); !errors.Is(err, errQueueOverflow) {
+	if err := p.CloseReason(); !errors.Is(err, wire.ErrQueueOverflow) {
 		t.Fatalf("stalled peer closed for %v, want queue overflow", err)
 	}
 }
@@ -240,7 +233,7 @@ func TestPacedBlockServingStalls(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		budget = max(budget, 4*queuedBytes(&wire.Message{Payload: raw}))
+		budget = max(budget, 4*wire.QueuedBytes(&wire.Message{Payload: raw}))
 	}
 	gn := NewNode(StaticChain{Store: src}, Config{WriteTimeout: 300 * time.Millisecond})
 	gn.queueBudget = budget
@@ -253,7 +246,7 @@ func TestPacedBlockServingStalls(t *testing.T) {
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for pipePeer(gn) != nil {
-		if q := queuedNow(p); q > budget {
+		if q := p.Queued(); q > budget {
 			t.Fatalf("requester queue holds %d bytes, budget %d", q, budget)
 		}
 		if time.Now().After(deadline) {
@@ -261,7 +254,7 @@ func TestPacedBlockServingStalls(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := p.closeReason(); !errors.Is(err, os.ErrDeadlineExceeded) {
+	if err := p.CloseReason(); !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("stalled requester closed for %v, want the write deadline", err)
 	}
 }
@@ -295,7 +288,7 @@ func TestStalledLightSubscriberGetsDropFlag(t *testing.T) {
 	if gn.LightStats().Dropped == 0 {
 		t.Fatal("no notification dropped behind a stalled subscriber")
 	}
-	if q, most := queuedNow(p), 2*queuedBytes(&wire.Message{}); q > most {
+	if q, most := p.Queued(), 2*wire.QueuedBytes(&wire.Message{}); q > most {
 		t.Fatalf("subscriber peer queue holds %d bytes, want at most an inv and a subupdate (%d)", q, most)
 	}
 

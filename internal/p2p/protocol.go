@@ -14,8 +14,10 @@
 //	getchunk    — request one snapshot chunk by index (statesync)
 //	chunk       — deliver one snapshot chunk (empty = unavailable)
 //
-// Frame encoding lives in the wire subpackage so the statesync client
-// can speak the same protocol without importing the gossip node. A
+// Frame encoding and the connection session (wire.Conn) live in the
+// wire subpackage so the statesync and light clients and the load
+// generator speak the same protocol without importing the gossip
+// node. A
 // node that learns of a longer chain requests the missing heights in
 // order and submits each block to its validator; only blocks that pass
 // validation are stored and re-announced to other peers. Unknown
@@ -25,11 +27,6 @@
 // bytes over a Chain interface that EBV and baseline nodes both
 // satisfy.
 package p2p
-
-import (
-	"net"
-	"sync/atomic"
-)
 
 // SnapshotProvider serves state snapshots to fast-syncing peers. A
 // node with a provider advertises wire.FeatureStateSync in its hello
@@ -44,24 +41,4 @@ type SnapshotProvider interface {
 	// ChunkBytes returns the encoded chunk at index for the snapshot
 	// described by the last returned manifest.
 	ChunkBytes(index uint64) ([]byte, error)
-}
-
-// countingConn counts bytes crossing a peer connection, feeding the
-// node's transfer totals (the bootstrap benchmark's bytes-on-the-wire
-// column). Deadlines and Close pass through the embedded conn.
-type countingConn struct {
-	net.Conn
-	in, out *atomic.Int64
-}
-
-func (c *countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.in.Add(int64(n))
-	return n, err
-}
-
-func (c *countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.out.Add(int64(n))
-	return n, err
 }

@@ -41,23 +41,6 @@ func newNonce() uint64 {
 	return binary.LittleEndian.Uint64(b[:])
 }
 
-// traffic is the per-kind message and byte accounting, indexed by wire
-// kind. Unknown kinds from newer peers are counted under their own
-// kind byte.
-type traffic struct {
-	msgsIn, bytesIn, msgsOut, bytesOut [256]atomic.Int64
-}
-
-func (t *traffic) count(kind byte, frameBytes int, in bool) {
-	if in {
-		t.msgsIn[kind].Add(1)
-		t.bytesIn[kind].Add(int64(frameBytes))
-		return
-	}
-	t.msgsOut[kind].Add(1)
-	t.bytesOut[kind].Add(int64(frameBytes))
-}
-
 // KindStat is one wire kind's traffic totals since the node was
 // created. Frame overhead (kind byte + length varint) is included, so
 // the sums across kinds match BytesRead/BytesWritten up to TCP-level
@@ -73,10 +56,10 @@ func (n *Node) KindStats() map[byte]KindStat {
 	out := make(map[byte]KindStat)
 	for k := 0; k < 256; k++ {
 		s := KindStat{
-			MsgsIn:   n.traffic.msgsIn[k].Load(),
-			BytesIn:  n.traffic.bytesIn[k].Load(),
-			MsgsOut:  n.traffic.msgsOut[k].Load(),
-			BytesOut: n.traffic.bytesOut[k].Load(),
+			MsgsIn:   n.traffic.MsgsIn[k].Load(),
+			BytesIn:  n.traffic.FrameBytesIn[k].Load(),
+			MsgsOut:  n.traffic.MsgsOut[k].Load(),
+			BytesOut: n.traffic.FrameBytesOut[k].Load(),
 		}
 		if s.MsgsIn != 0 || s.MsgsOut != 0 {
 			out[byte(k)] = s
@@ -248,7 +231,7 @@ func (n *Node) handleCmpctBlock(p *peer, m *wire.Message) error {
 	pend.timer = time.AfterFunc(n.cfg.RelayTimeout, func() { n.relayTimeout(hash) })
 	n.relay.commit(hash, pend)
 	n.relay.stats.TxnsRequested.Add(int64(len(missing)))
-	return p.send(&wire.Message{Kind: wire.GetBlockTxn, Hash: hash,
+	return p.Send(&wire.Message{Kind: wire.GetBlockTxn, Hash: hash,
 		Payload: relay.EncodeIndexes(nil, missing)})
 }
 
@@ -273,7 +256,7 @@ func (n *Node) handleGetBlockTxn(p *peer, m *wire.Message) error {
 			txs = append(txs, b)
 		}
 	}
-	return p.send(&wire.Message{Kind: wire.BlockTxn, Hash: m.Hash, Payload: relay.EncodeTxns(nil, txs)})
+	return p.Send(&wire.Message{Kind: wire.BlockTxn, Hash: m.Hash, Payload: relay.EncodeTxns(nil, txs)})
 }
 
 // handleBlockTxn settles a pending reconstruction with the peer's
@@ -343,7 +326,7 @@ func (n *Node) relayTimeout(hash hashx.Hash) {
 func (n *Node) fullFallback(p *peer, hash hashx.Hash) {
 	n.relay.stats.Fallbacks.Add(1)
 	if n.cfg.Forks != nil && p.hasFeature(wire.FeatureForkChoice) {
-		_ = p.send(&wire.Message{Kind: wire.GetData, Hashes: []hashx.Hash{hash}})
+		_ = p.Send(&wire.Message{Kind: wire.GetData, Hashes: []hashx.Hash{hash}})
 		return
 	}
 	n.requestFrom(p, tipField(n.chain.TipHeight()))

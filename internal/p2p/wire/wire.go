@@ -1,8 +1,10 @@
-// Package wire defines the framed message codec shared by the gossip
-// protocol (internal/p2p) and the fast-bootstrap state sync
-// (internal/statesync). It is a leaf package — only encoding concerns
-// live here — so both sides of the protocol can speak the same frames
-// without an import cycle through the node types.
+// Package wire defines the framed message codec and the connection
+// session (Conn, see conn.go) shared by the gossip protocol
+// (internal/p2p), the fast-bootstrap state sync (internal/statesync),
+// the light client (internal/light) and the load generator. It is a
+// leaf package — only framing and connection concerns live here — so
+// every side of the protocol speaks the same frames over the same
+// out-queue without an import cycle through the node types.
 //
 // Every frame is
 //

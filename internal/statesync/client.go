@@ -1,12 +1,10 @@
 package statesync
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ebv/internal/p2p/wire"
@@ -22,68 +20,49 @@ var ErrNoStateSync = errors.New("statesync: peer does not support state sync")
 var errUnavailable = errors.New("statesync: peer has no snapshot data")
 
 // syncConn is a dedicated protocol connection for snapshot requests.
-// It shares the gossip wire format, so the remote end is just a
+// It shares the gossip wire session, so the remote end is just a
 // normal peer serving getmanifest/getchunk; pushes the remote makes
 // on its own (inv announcements) are skipped while waiting for a
 // response.
 type syncConn struct {
-	conn    net.Conn
-	r       *bufio.Reader
-	w       *bufio.Writer
-	bytesIn *atomic.Int64
+	*wire.Conn
 }
 
 // dialSync connects to addr, performs the gossip handshake
 // advertising FeatureStateSync, and verifies the peer advertises it
-// back. Received bytes are accumulated into bytesIn.
-func dialSync(addr string, timeout time.Duration, bytesIn *atomic.Int64) (*syncConn, error) {
+// back. Received bytes are counted into counters; each request's write
+// is bounded by writeTimeout.
+func dialSync(addr string, timeout, writeTimeout time.Duration, counters *wire.Counters) (*syncConn, error) {
 	raw, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("statesync: dial %s: %w", addr, err)
 	}
-	c := &syncConn{
-		conn:    raw,
-		r:       bufio.NewReader(&countingReader{conn: raw, n: bytesIn}),
-		w:       bufio.NewWriter(raw),
-		bytesIn: bytesIn,
-	}
-	raw.SetDeadline(time.Now().Add(timeout))
-	defer raw.SetDeadline(time.Time{})
+	c := &syncConn{wire.NewConn(raw, wire.ConnConfig{WriteTimeout: writeTimeout, Counters: counters})}
 	// Height 0 = "empty chain": the peer has no reason to push blocks
 	// at us, and we never ask for any on this connection.
-	if err := wire.Write(c.w, &wire.Message{Kind: wire.Hello, Height: 0, Features: wire.FeatureStateSync}); err != nil {
-		raw.Close()
-		return nil, fmt.Errorf("statesync: handshake %s: %w", addr, err)
-	}
-	hello, err := wire.Read(c.r)
-	if err != nil || hello.Kind != wire.Hello {
-		raw.Close()
+	hello, err := c.Handshake(&wire.Message{Kind: wire.Hello, Height: 0, Features: wire.FeatureStateSync}, timeout)
+	if err != nil {
+		c.Close(nil)
 		return nil, fmt.Errorf("statesync: handshake %s: bad hello (%v)", addr, err)
 	}
 	if hello.Features&wire.FeatureStateSync == 0 {
-		raw.Close()
+		c.Close(nil)
 		return nil, fmt.Errorf("%w: %s", ErrNoStateSync, addr)
 	}
 	return c, nil
 }
 
-func (c *syncConn) close() { c.conn.Close() }
-
 // request sends req and waits for a response of the wanted kind (and,
 // for chunks, the wanted index), skipping unrelated gossip the peer
-// pushes in between. The whole exchange is bounded by timeout.
+// pushes in between. The wait is bounded by timeout.
 func (c *syncConn) request(req *wire.Message, wantKind byte, wantIndex uint64, timeout time.Duration) (*wire.Message, error) {
-	c.conn.SetDeadline(time.Now().Add(timeout))
-	defer c.conn.SetDeadline(time.Time{})
-	if err := wire.Write(c.w, req); err != nil {
+	deadline := time.Now().Add(timeout)
+	if err := c.Send(req); err != nil {
 		return nil, err
 	}
 	for {
-		m, err := wire.Read(c.r)
+		m, err := c.Read(deadline)
 		if err != nil {
-			if errors.Is(err, wire.ErrUnknownKind) {
-				continue
-			}
 			return nil, err
 		}
 		switch {
@@ -123,20 +102,6 @@ func (c *syncConn) getChunk(index uint64, timeout time.Duration) ([]byte, error)
 		return nil, errUnavailable
 	}
 	return m.Payload, nil
-}
-
-// countingReader counts bytes read off a connection. (The write side
-// is a handful of fixed-size requests; downloads are what the
-// bootstrap benchmark accounts.)
-type countingReader struct {
-	conn net.Conn
-	n    *atomic.Int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.conn.Read(p)
-	c.n.Add(int64(n))
-	return n, err
 }
 
 // peerState tracks one configured peer across the sync: its cached
@@ -218,7 +183,7 @@ func (ps *peerSet) fail(p *peerState) {
 	ps.mu.Lock()
 	p.fails++
 	if p.conn != nil {
-		p.conn.close()
+		p.conn.Close(nil)
 		p.conn = nil
 	}
 	if p.fails >= ps.failLimit {
@@ -235,7 +200,7 @@ func (ps *peerSet) closeAll() {
 	defer ps.mu.Unlock()
 	for _, p := range ps.peers {
 		if p.conn != nil {
-			p.conn.close()
+			p.conn.Close(nil)
 			p.conn = nil
 		}
 	}

@@ -6,11 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ebv/internal/chainstore"
 	"ebv/internal/hashx"
+	"ebv/internal/p2p/wire"
 	"ebv/internal/statusdb"
 )
 
@@ -103,7 +103,7 @@ func FastSync(chain *chainstore.Store, status *statusdb.DB, cfg Config) (*Result
 		return nil, fmt.Errorf("statesync: %w", err)
 	}
 
-	var bytesIn atomic.Int64
+	var traffic wire.Counters
 	ps := newPeerSet(cfg.Peers, cfg.PeerFailLimit)
 	defer ps.closeAll()
 
@@ -139,7 +139,7 @@ func FastSync(chain *chainstore.Store, status *statusdb.DB, cfg Config) (*Result
 		}
 		return nil
 	}
-	manifest, err := loadOrFetchManifest(&cfg, ps, checkLocal, &bytesIn, logf)
+	manifest, err := loadOrFetchManifest(&cfg, ps, checkLocal, &traffic, logf)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +167,7 @@ func FastSync(chain *chainstore.Store, status *statusdb.DB, cfg Config) (*Result
 	}
 
 	// 3. Download the rest concurrently with peer failover.
-	if err := downloadChunks(&cfg, ps, manifest, chunks, &bytesIn, logf); err != nil {
+	if err := downloadChunks(&cfg, ps, manifest, chunks, &traffic, logf); err != nil {
 		return nil, err
 	}
 
@@ -214,7 +214,7 @@ func FastSync(chain *chainstore.Store, status *statusdb.DB, cfg Config) (*Result
 		TipHash:       manifest.TipHash(),
 		Chunks:        total,
 		ChunksResumed: resumed,
-		BytesReceived: bytesIn.Load(),
+		BytesReceived: traffic.BytesIn.Load(),
 		Wall:          time.Since(start),
 	}
 	logf("statesync: installed snapshot tip %d (%d chunks, %d resumed, %d bytes received)",
@@ -231,7 +231,7 @@ func chunkPath(dir string, i int) string {
 // validates, and agrees with local state (checkLocal), otherwise
 // fetches one from the peers (first usable answer wins) and persists
 // it.
-func loadOrFetchManifest(cfg *Config, ps *peerSet, checkLocal func(*Manifest) error, bytesIn *atomic.Int64, logf func(string, ...any)) (*Manifest, error) {
+func loadOrFetchManifest(cfg *Config, ps *peerSet, checkLocal func(*Manifest) error, traffic *wire.Counters, logf func(string, ...any)) (*Manifest, error) {
 	if data, err := os.ReadFile(manifestPath(cfg.Dir)); err == nil {
 		m, err := DecodeManifest(data)
 		if err == nil && checkLocal(m) == nil {
@@ -249,7 +249,7 @@ func loadOrFetchManifest(cfg *Config, ps *peerSet, checkLocal func(*Manifest) er
 		}
 		data, err := fetchFrom(p, cfg, func(c *syncConn) ([]byte, error) {
 			return c.getManifest(cfg.RequestTimeout)
-		}, bytesIn)
+		}, traffic)
 		var m *Manifest
 		if err == nil {
 			// A peer pushing a manifest that fails validation (bad
@@ -279,9 +279,9 @@ func loadOrFetchManifest(cfg *Config, ps *peerSet, checkLocal func(*Manifest) er
 // fetchFrom runs one request against an acquired peer, dialing its
 // connection on demand. Any error leaves the peer for the caller to
 // penalize.
-func fetchFrom(p *peerState, cfg *Config, do func(*syncConn) ([]byte, error), bytesIn *atomic.Int64) ([]byte, error) {
+func fetchFrom(p *peerState, cfg *Config, do func(*syncConn) ([]byte, error), traffic *wire.Counters) ([]byte, error) {
 	if p.conn == nil {
-		c, err := dialSync(p.addr, cfg.DialTimeout, bytesIn)
+		c, err := dialSync(p.addr, cfg.DialTimeout, cfg.RequestTimeout, traffic)
 		if err != nil {
 			return nil, err
 		}
@@ -292,7 +292,7 @@ func fetchFrom(p *peerState, cfg *Config, do func(*syncConn) ([]byte, error), by
 
 // downloadChunks fills every nil entry of chunks, persisting each
 // verified chunk before marking it done.
-func downloadChunks(cfg *Config, ps *peerSet, m *Manifest, chunks [][]byte, bytesIn *atomic.Int64, logf func(string, ...any)) error {
+func downloadChunks(cfg *Config, ps *peerSet, m *Manifest, chunks [][]byte, traffic *wire.Counters, logf func(string, ...any)) error {
 	var missing []int
 	for i, c := range chunks {
 		if c == nil {
@@ -340,7 +340,7 @@ func downloadChunks(cfg *Config, ps *peerSet, m *Manifest, chunks [][]byte, byte
 				if isAborted() {
 					continue // drain
 				}
-				data, err := fetchChunk(cfg, ps, m, i, bytesIn, logf)
+				data, err := fetchChunk(cfg, ps, m, i, traffic, logf)
 				if err != nil {
 					abort(err)
 					continue
@@ -374,7 +374,7 @@ func downloadChunks(cfg *Config, ps *peerSet, m *Manifest, chunks [][]byte, byte
 
 // fetchChunk downloads and digest-verifies chunk i, failing over
 // across peers until one serves it correctly or none remain.
-func fetchChunk(cfg *Config, ps *peerSet, m *Manifest, i int, bytesIn *atomic.Int64, logf func(string, ...any)) ([]byte, error) {
+func fetchChunk(cfg *Config, ps *peerSet, m *Manifest, i int, traffic *wire.Counters, logf func(string, ...any)) ([]byte, error) {
 	tried := make(map[*peerState]bool)
 	for {
 		p := ps.acquire(tried)
@@ -383,7 +383,7 @@ func fetchChunk(cfg *Config, ps *peerSet, m *Manifest, i int, bytesIn *atomic.In
 		}
 		data, err := fetchFrom(p, cfg, func(c *syncConn) ([]byte, error) {
 			return c.getChunk(uint64(i), cfg.RequestTimeout)
-		}, bytesIn)
+		}, traffic)
 		if err == nil && hashx.Sum(data) != m.Digests[i] {
 			err = fmt.Errorf("digest mismatch (%d bytes)", len(data))
 		}

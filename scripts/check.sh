@@ -26,20 +26,28 @@ echo "== go test -race =="
 # database's two-phase commit and shallow snapshots.
 go test -race ./...
 
-echo "== flake loop (concurrent soak, whole-commit reads, byte counters, peer out-queues, post-accept pass) =="
+echo "== flake loop (concurrent soak, whole-commit reads, byte counters, peer out-queues, post-accept pass, stalled remotes) =="
 # The soak and byte-counter tests once failed only some of the time;
 # TestBatchProbeSeesWholeCommit races batch probes and UnspentCount
 # against commits and fails only when a reader catches one half
 # applied; the out-queue tests race announcements against handshakes
 # and stall peers mid-stream; the post-accept tests wait on pipe peers
-# and a second node. -count=20 (which also bypasses the test cache)
+# and a second node; the stalled-remote tests time a light client
+# against a server that never reads and a paced sender against a
+# remote that pauses. -count=20 (which also bypasses the test cache)
 # makes a reintroduced flake fail here instead of intermittently.
-go test -count=20 -run 'TestStatusDBConcurrentSoak|TestBatchProbeSeesWholeCommit|TestByteCounters|TestHelloFirstWhileAnnouncing|TestNeverReadingSubmitter|TestPacedBlockServingStalls|TestStalledLightSubscriberGetsDropFlag|TestTipExtensionReadsNoBlockBytes|TestAnnounceKeepsNothingOfTheScratch|TestReorgAnnouncesOnlyCommittedTip' \
-	./internal/statusdb ./internal/p2p
+go test -count=20 -run 'TestStatusDBConcurrentSoak|TestBatchProbeSeesWholeCommit|TestByteCounters|TestHelloFirstWhileAnnouncing|TestNeverReadingSubmitter|TestPacedBlockServingStalls|TestStalledLightSubscriberGetsDropFlag|TestTipExtensionReadsNoBlockBytes|TestAnnounceKeepsNothingOfTheScratch|TestReorgAnnouncesOnlyCommittedTip|TestStalledServerEndsClient|TestPacedSendKeepsBackpressure' \
+	./internal/statusdb ./internal/p2p ./internal/p2p/wire ./internal/light
 # The announcement's relay index and light pushes must share nothing
 # with the pooled decode scratch; the race detector reports any byte
 # they still share while the test poisons it.
 go test -race -count=5 -run 'TestAnnounceKeepsNothingOfTheScratch' ./internal/p2p
+
+echo "== wire client loop (-race) =="
+# The light client and the state-sync downloader share the peer's
+# wire session: a reader, a writer goroutine and senders on one
+# out-queue.
+go test -race -count=5 ./internal/light ./internal/statesync
 
 echo "== status database consistency loop (-race) =="
 # One lock over the status database: every probe, batch and aggregate
