@@ -6,21 +6,23 @@
 // invariants):
 //
 //  1. Intake, on the submitter's goroutine: a size cap, a per-source
-//     token-bucket rate limit, syntax (decode), and duplicate-by-id —
+//     token-bucket rate limit, syntax (a borrowed decode into pooled
+//     scratch, which also yields the pool id), and duplicate-by-id —
 //     all without touching the pool lock (membership is probed through
 //     the pool's lock-free id mirror). Rejections here never consume
-//     verification work.
+//     verification work. A queued submission holds its wire bytes.
 //  2. Batching: a bounded queue feeds a single collector goroutine
 //     that gathers up to Config.BatchSize transactions or waits at
 //     most Config.BatchWindow, whichever fills first.
-//  3. Verification: the backend validates the whole batch at once —
-//     EV+SV fan out across the worker pool, and every input of every
-//     transaction lands in one batched Unspent Validation probe
-//     (core.ValidateTxsBatch).
+//  3. Verification: the backend borrow-decodes the batch into one
+//     scratch arena and validates it at once — EV+SV fan out across
+//     the worker pool, and every input of every transaction lands in
+//     one batched Unspent Validation probe (core.ValidateTxsBatch).
 //  4. Commit: survivors enter the mempool in submission order under a
 //     single lock acquisition (mempool.Pool.CommitBatch), where
 //     duplicate, conflict, and fee-market eviction checks run exactly
-//     as sequential Add would run them.
+//     as sequential Add would run them. The pool copies each
+//     survivor's bytes once; the batch's decodes are then dropped.
 //
 // Equivalence: for any submission stream, the verdict (sentinel error
 // and wire code) each transaction receives equals what sequential
@@ -286,6 +288,11 @@ func (s *Service) Submit(source string, raw []byte) Result {
 // exactly once with the verdict — synchronously for intake rejections,
 // from the collector goroutine otherwise. done must not block for
 // long: it delays verdict delivery for the rest of its batch.
+//
+// The service keeps raw, not a decoded copy, until done fires: the
+// caller must leave raw unmodified until then (a p2p frame body is a
+// fresh allocation per frame). The pool copies what it keeps on admit,
+// so raw is the caller's again once done has been called.
 func (s *Service) SubmitAsync(source string, raw []byte, done func(Result)) {
 	s.submitted.Add(1)
 	if len(raw) > s.cfg.MaxTxBytes {

@@ -1,6 +1,7 @@
 package admission
 
 import (
+	"fmt"
 	"runtime"
 
 	"ebv/internal/core"
@@ -10,7 +11,7 @@ import (
 	"ebv/internal/txmodel"
 )
 
-// Submission is one decoded transaction moving through the pipeline.
+// Submission is one transaction moving through the pipeline.
 type Submission interface {
 	// ID is the pool identity (for EBV: the tidy leaf hash with the
 	// stake position zeroed), available from decode time for the
@@ -21,9 +22,10 @@ type Submission interface {
 // Backend is what the service verifies and commits against.
 // EBVBackend batches verification across the whole slice.
 type Backend interface {
-	// Decode parses wire bytes into a submission. The returned value
-	// owns its memory — entries outlive the connection buffer they
-	// arrived in.
+	// Decode checks the syntax of wire bytes and returns their
+	// submission. The submission may keep raw until its verdict is
+	// delivered (see Service.SubmitAsync); what the pool keeps it
+	// copies at commit.
 	Decode(raw []byte) (Submission, error)
 	// Contains reports whether id is already pooled, without blocking
 	// on the pool lock (intake fast path; may lag by one commit).
@@ -33,10 +35,11 @@ type Backend interface {
 	CommitBatch(subs []Submission, workers int) []error
 }
 
-// ebvSub is an EBV submission.
+// ebvSub is an EBV submission: the pool-form encoding and its id.
+// Nothing decoded outlives the intake check.
 type ebvSub struct {
-	tx *txmodel.EBVTx
-	id hashx.Hash
+	raw []byte
+	id  hashx.Hash
 }
 
 func (s *ebvSub) ID() hashx.Hash { return s.id }
@@ -45,23 +48,35 @@ func (s *ebvSub) ID() hashx.Hash { return s.id }
 // core.ValidateTxsBatch call per batch (EV+SV across the worker pool,
 // one batched UV probe), then one mempool.Pool.CommitBatch for
 // the survivors.
+//
+// Memory: a submission holds only its wire bytes and id. Intake
+// decodes into a pooled ingest scratch for the syntax check and the
+// id; the collector borrow-decodes each batch into one scratch for
+// its verdicts; the pool copies each survivor's bytes once, on admit.
 type EBVBackend struct {
 	Pool      *mempool.Pool
 	Validator *core.EBVValidator
 }
 
-// Decode copy-decodes raw (pool entries are long-lived) and computes
-// the pool id up front, off the collector goroutine.
+// Decode checks raw with a borrowed decode into pooled scratch and
+// computes the pool id up front, off the collector goroutine. The
+// submission keeps raw; a transaction that carries a stake position
+// is re-encoded once here in its pool form (StakePos 0), so every
+// later stage sees the bytes the pool stores.
 func (b *EBVBackend) Decode(raw []byte) (Submission, error) {
-	tx, err := txmodel.DecodeEBVTx(raw)
+	s := ingest.Get()
+	defer s.Release()
+	tx, err := s.DecodeEBVTx(raw)
 	if err != nil {
 		return nil, err
 	}
-	// Pool identity is the pre-packaging form (see mempool.newEntry —
-	// which repeats this, idempotently, for entries from other paths).
-	tx.Tidy.StakePos = 0
-	tx.Tidy.Invalidate()
-	return &ebvSub{tx: tx, id: tx.Tidy.LeafHash()}, nil
+	if tx.Tidy.StakePos != 0 {
+		// The miner assigns the stake position; the decode is fresh,
+		// so no leaf memo is set yet.
+		tx.Tidy.StakePos = 0
+		raw = tx.Encode(make([]byte, 0, tx.EncodedSize()))
+	}
+	return &ebvSub{raw: raw, id: tx.Tidy.LeafHash()}, nil
 }
 
 // Contains probes the pool's lock-free id mirror.
@@ -75,25 +90,41 @@ func (b *EBVBackend) CommitBatch(subs []Submission, workers int) []error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	txs := make([]*txmodel.EBVTx, len(subs))
-	for i := range subs {
-		txs[i] = subs[i].(*ebvSub).tx
-	}
+	// The batch's decodes share one scratch arena and borrow the
+	// submissions' bytes; they are dropped when the pool has copied
+	// the survivors.
 	scratch := ingest.Get()
-	errs := b.Validator.ValidateTxsBatch(txs, workers, scratch)
-	scratch.Release()
-
-	valid := make([]*txmodel.EBVTx, 0, len(txs))
-	slots := make([]int, 0, len(txs))
-	for i, err := range errs {
-		if err == nil {
-			valid = append(valid, txs[i])
-			slots = append(slots, i)
+	defer scratch.Release()
+	errs := make([]error, len(subs))
+	txs := make([]*txmodel.EBVTx, 0, len(subs))
+	slots := make([]int, 0, len(subs))
+	for i := range subs {
+		tx, err := scratch.DecodeEBVTx(subs[i].(*ebvSub).raw)
+		if err != nil {
+			// Intake decoded these bytes: the submitter changed them
+			// before its verdict.
+			errs[i] = fmt.Errorf("%w: %v", ErrMalformed, err)
+			continue
 		}
+		txs = append(txs, tx)
+		slots = append(slots, i)
 	}
-	_, poolErrs := b.Pool.CommitBatch(valid)
-	for j, i := range slots {
-		errs[i] = poolErrs[j]
+	verdicts := b.Validator.ValidateTxsBatch(txs, workers, scratch)
+
+	cands := make([]mempool.Candidate, 0, len(txs))
+	admit := make([]int, 0, len(txs)) // subs index of each candidate
+	for j, err := range verdicts {
+		i := slots[j]
+		if err != nil {
+			errs[i] = err
+			continue
+		}
+		sub := subs[i].(*ebvSub)
+		cands = append(cands, mempool.Candidate{Tx: txs[j], Raw: sub.raw, ID: sub.id})
+		admit = append(admit, i)
+	}
+	for k, err := range b.Pool.CommitBatch(cands) {
+		errs[admit[k]] = err
 	}
 	return errs
 }

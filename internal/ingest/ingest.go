@@ -1,8 +1,9 @@
 // Package ingest holds the per-block scratch state of the wire-speed
 // block ingest path: a decode arena, a reusable block shell, and the
 // spend/probe/dedup buffers the connect reduction needs. One Scratch
-// serves one block at a time; recycling it through Get/Release makes a
-// warm decode+connect perform ~0 heap allocations per input.
+// serves one block (or one admission batch of transactions) at a
+// time; recycling it through Get/Release makes a warm decode+connect
+// perform ~0 heap allocations per input.
 //
 // Ownership contract (see also DESIGN.md):
 //
@@ -10,7 +11,9 @@
 //     aliases data and arena slabs, and is valid only until the next
 //     DecodeEBVBlock on the same Scratch or Release. Callers must keep
 //     data alive and unmodified for that window, and must treat the
-//     block as immutable after decode.
+//     block as immutable after decode. DecodeEBVTx borrows the same
+//     way; its transactions accumulate in the arena until the next
+//     DecodeEBVBlock or Release.
 //   - The spends/probes/seen buffers are handed to exactly one
 //     in-flight connect at a time; a Scratch must not be shared
 //     between concurrently validating blocks.
@@ -44,9 +47,13 @@ var pool = sync.Pool{New: func() any { return NewScratch() }}
 // Get takes a Scratch from the shared pool.
 func Get() *Scratch { return pool.Get().(*Scratch) }
 
-// Release returns the Scratch to the pool. The caller must not touch
-// the Scratch — or any block previously decoded with it — afterwards.
-func (s *Scratch) Release() { pool.Put(s) }
+// Release rewinds the arena and returns the Scratch to the pool. The
+// caller must not touch the Scratch — or any block or transaction
+// previously decoded with it — afterwards.
+func (s *Scratch) Release() {
+	s.arena.Reset()
+	pool.Put(s)
+}
 
 // DecodeEBVBlock decodes data into the scratch's block shell using
 // borrowed-bytes decoding (see blockmodel.DecodeEBVBlockInto). It
@@ -58,6 +65,19 @@ func (s *Scratch) DecodeEBVBlock(data []byte) (*blockmodel.EBVBlock, error) {
 		return nil, err
 	}
 	return &s.block, nil
+}
+
+// DecodeEBVTx borrow-decodes data as one transaction into the
+// scratch's arena (see txmodel.DecodeEBVTxInto). It does not reset the
+// arena, so every transaction decoded since the last DecodeEBVBlock or
+// Get stays valid until Release: one Scratch holds a whole admission
+// batch.
+func (s *Scratch) DecodeEBVTx(data []byte) (*txmodel.EBVTx, error) {
+	tx := s.arena.AllocTx()
+	if err := txmodel.DecodeEBVTxInto(tx, data, &s.arena); err != nil {
+		return nil, err
+	}
+	return tx, nil
 }
 
 // Spends returns a length-0 spend buffer with capacity for at least n.

@@ -11,6 +11,15 @@
 // BuildTemplate selects transactions by fee rate and hands them to the
 // miner, which assigns stake positions at packaging time
 // (blockmodel.AssembleEBV).
+//
+// The pool keeps each admitted transaction as one owned byte slice,
+// its pool-form encoding (StakePos zero), beside a fixed record of
+// what admission computed: id, fee, size, fee rate, output count and
+// spends. No decoded object graph outlives admission. BuildTemplate
+// decodes only the transactions it selects, compact relay splices the
+// announced stake position into the stored bytes
+// (txmodel.SpliceStakePos), and block connect and disconnect work from
+// the cached spends.
 package mempool
 
 import (
@@ -80,13 +89,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// entry is one pooled transaction with its cached admission data.
+// entry is one pooled transaction: its pool-form encoding and the
+// admission data cached beside it.
 type entry struct {
-	tx      *txmodel.EBVTx
+	raw     []byte // pool-form encoding (StakePos 0); owned, never modified
 	id      hashx.Hash
 	fee     uint64
-	size    int
+	size    int     // len(raw)
 	feeRate float64 // fee per encoded byte
+	outputs int     // output count, BuildTemplate's budget
 	spends  []statusdb.Spend
 	heapIdx int // position in the fee-rate min-heap
 }
@@ -142,7 +153,7 @@ type Pool struct {
 	// (the admission service's intake stage sheds resubmit floods
 	// without touching the pool lock) and the compact-relay
 	// reconstruction path's O(1) leaf-hash lookups. Entries are
-	// immutable once admitted, so handing out e.tx without the lock is
+	// immutable once admitted, so handing out e.raw without the lock is
 	// safe as long as callers treat it as read-only. The locked check
 	// in addLocked stays authoritative.
 	ids sync.Map // hashx.Hash -> *entry
@@ -184,18 +195,19 @@ func (p *Pool) Contains(id hashx.Hash) bool {
 	return ok
 }
 
-// LookupByLeaf returns the pooled transaction whose id — the
-// pool-form tidy leaf hash, StakePos zero — is leaf, without taking
-// the pool lock. The transaction must be treated as immutable; like
-// Contains, the answer may lag a concurrent add or removal by one
-// commit, which compact-relay reconstruction tolerates (a miss just
-// means requesting that transaction). Satisfies relay.TxSource.
-func (p *Pool) LookupByLeaf(leaf hashx.Hash) (*txmodel.EBVTx, bool) {
+// LookupByLeaf returns the pool-form encoding (StakePos zero) of the
+// pooled transaction whose id — the pool-form tidy leaf hash — is
+// leaf, without taking the pool lock. The bytes are the pool's own and
+// must not be modified; like Contains, the answer may lag a concurrent
+// add or removal by one commit, which compact-relay reconstruction
+// tolerates (a miss just means requesting that transaction). Satisfies
+// relay.TxSource.
+func (p *Pool) LookupByLeaf(leaf hashx.Hash) ([]byte, bool) {
 	v, ok := p.ids.Load(leaf)
 	if !ok {
 		return nil, false
 	}
-	return v.(*entry).tx, true
+	return v.(*entry).raw, true
 }
 
 // LeafHashes returns a snapshot of every pooled transaction's id
@@ -226,67 +238,84 @@ func (p *Pool) EvictionFloor() float64 {
 }
 
 // Add validates tx against the chain state and admits it. The
-// transaction id (tidy leaf hash with StakePos zero) is returned.
+// transaction id (tidy leaf hash with StakePos zero) is returned. The
+// pool stores its own encoding of the pool form; tx is not modified
+// and not retained.
 func (p *Pool) Add(tx *txmodel.EBVTx) (hashx.Hash, error) {
 	// Chain-state validation happens outside the lock: it is the
 	// expensive part and touches only the validator's own state.
 	if err := p.validator.ValidateTx(tx); err != nil {
 		return hashx.ZeroHash, err
 	}
-	e := newEntry(tx)
+	// Pool identity is the pre-packaging form: the miner owns the
+	// stake position. A shallow copy takes the zero, and drops the
+	// leaf memo it carries if the position changed.
+	pf := *tx
+	if pf.Tidy.StakePos != 0 {
+		pf.Tidy.StakePos = 0
+		pf.Tidy.Invalidate()
+	}
+	e := newEntry(&pf, pf.Encode(make([]byte, 0, pf.EncodedSize())), pf.Tidy.LeafHash())
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.addLocked(e)
 }
 
-// CommitBatch admits transactions already validated by the admission
-// pipeline (core.ValidateTxsBatch), in order, under one lock
-// acquisition. Each slot of the returned slices answers txs[i] exactly
-// as a sequential Add would have after the same prefix: the duplicate,
-// conflict, and capacity/eviction checks share addLocked with Add, so
-// the batched front end and one-at-a-time admission produce identical
-// verdicts for the same stream.
-func (p *Pool) CommitBatch(txs []*txmodel.EBVTx) ([]hashx.Hash, []error) {
-	entries := make([]*entry, len(txs))
-	for i, tx := range txs {
-		entries[i] = newEntry(tx) // per-tx hashing stays outside the lock
+// Candidate is one transaction the admission pipeline has validated
+// (core.ValidateTxsBatch), offered to CommitBatch.
+type Candidate struct {
+	// Tx is the decoded pool form (StakePos 0). It may borrow Raw and
+	// a decode arena: the pool reads it only during CommitBatch.
+	Tx *txmodel.EBVTx
+	// Raw is Tx's encoding. The pool keeps its own copy and never
+	// retains Raw.
+	Raw []byte
+	// ID is Tx's pool id, Tx.Tidy.LeafHash().
+	ID hashx.Hash
+}
+
+// CommitBatch admits validated candidates, in order, under one lock
+// acquisition. errs[i] answers cands[i] exactly as a sequential Add
+// would have after the same prefix: the duplicate, conflict, and
+// capacity/eviction checks share addLocked with Add, so the batched
+// front end and one-at-a-time admission produce identical verdicts
+// for the same stream.
+func (p *Pool) CommitBatch(cands []Candidate) []error {
+	entries := make([]*entry, len(cands))
+	for i := range cands {
+		c := &cands[i]
+		// Building the record and copying the bytes stay outside the
+		// lock. A rejected candidate's copy is garbage at once.
+		entries[i] = newEntry(c.Tx, bytes.Clone(c.Raw), c.ID)
 	}
-	ids := make([]hashx.Hash, len(txs))
-	errs := make([]error, len(txs))
+	errs := make([]error, len(cands))
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i, e := range entries {
-		ids[i], errs[i] = p.addLocked(e)
+		_, errs[i] = p.addLocked(e)
 	}
-	return ids, errs
+	return errs
 }
 
-// newEntry computes the pool form of a validated transaction. Pool
-// identity is the pre-packaging form: the miner owns the stake
-// position, so it is zeroed here (a mutation, so any memoized leaf
-// hash is dropped before the id is computed).
-func newEntry(tx *txmodel.EBVTx) *entry {
-	if tx.Tidy.StakePos != 0 {
-		tx.Tidy.StakePos = 0
-		tx.Tidy.Invalidate()
-	}
+// newEntry builds the record of a validated pool-form transaction tx
+// (StakePos 0) with encoding raw, which the entry takes over, and id
+// tx's leaf hash. tx is read only here.
+func newEntry(tx *txmodel.EBVTx, raw []byte, id hashx.Hash) *entry {
 	inSum, _ := tx.InputSum()
 	outSum, _ := tx.OutputSum()
 	fee := inSum - outSum
-	size := tx.EncodedSize()
 	e := &entry{
-		tx:      tx,
-		id:      tx.Tidy.LeafHash(),
+		raw:     raw,
+		id:      id,
 		fee:     fee,
-		size:    size,
-		feeRate: float64(fee) / float64(size),
+		size:    len(raw),
+		feeRate: float64(fee) / float64(len(raw)),
+		outputs: len(tx.Tidy.Outputs),
+		spends:  make([]statusdb.Spend, len(tx.Bodies)),
 		heapIdx: -1,
 	}
 	for i := range tx.Bodies {
-		e.spends = append(e.spends, statusdb.Spend{
-			Height: tx.Bodies[i].Height,
-			Pos:    tx.Bodies[i].AbsPosition(),
-		})
+		e.spends[i] = statusdb.Spend{Height: tx.Bodies[i].Height, Pos: tx.Bodies[i].AbsPosition()}
 	}
 	return e
 }
@@ -372,17 +401,6 @@ func (p *Pool) maybeResetFloorLocked() {
 	}
 }
 
-// Get returns a pooled transaction by id.
-func (p *Pool) Get(id hashx.Hash) (*txmodel.EBVTx, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e, ok := p.entries[id]
-	if !ok {
-		return nil, false
-	}
-	return e.tx, true
-}
-
 // removeLocked drops an entry still present in the fee heap (block
 // eviction, stale-proof drops, revalidation failures).
 func (p *Pool) removeLocked(e *entry) {
@@ -395,17 +413,21 @@ func (p *Pool) removeLocked(e *entry) {
 // BuildTemplate selects transactions for the next block: highest fee
 // rate first, bounded by maxOutputs (the block's bit-vector budget;
 // <=0 means the consensus cap). The coinbase is not included — the
-// miner adds it with the collected fees.
+// miner adds it with the collected fees. Each selected transaction is
+// a fresh decode of the pooled bytes that the miner owns: packaging
+// assigns stake positions in place.
 func (p *Pool) BuildTemplate(maxOutputs int) (txs []*txmodel.EBVTx, totalFees uint64) {
 	if maxOutputs <= 0 || maxOutputs > blockmodel.MaxBlockOutputs {
 		maxOutputs = blockmodel.MaxBlockOutputs
 	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	ordered := make([]*entry, 0, len(p.entries))
 	for _, e := range p.entries {
 		ordered = append(ordered, e)
 	}
+	p.mu.Unlock()
+	// Entries are immutable, so the sort and the decodes run without
+	// the lock, on the snapshot.
 	sort.Slice(ordered, func(i, j int) bool {
 		if ordered[i].feeRate != ordered[j].feeRate {
 			return ordered[i].feeRate > ordered[j].feeRate
@@ -414,15 +436,16 @@ func (p *Pool) BuildTemplate(maxOutputs int) (txs []*txmodel.EBVTx, totalFees ui
 	})
 	outputs := 1 // miner's coinbase output
 	for _, e := range ordered {
-		n := len(e.tx.Tidy.Outputs)
-		if outputs+n > maxOutputs {
+		if outputs+e.outputs > maxOutputs {
 			continue
 		}
-		outputs += n
-		// Hand the miner a copy: packaging assigns stake positions in
-		// place and must not mutate the pooled transaction.
-		cp := *e.tx
-		txs = append(txs, &cp)
+		tx, err := txmodel.DecodeEBVTx(e.raw)
+		if err != nil {
+			// The pool stores only bytes it encoded or decoded itself.
+			panic(fmt.Sprintf("mempool: pooled transaction %s does not decode: %v", e.id.Short(), err))
+		}
+		outputs += e.outputs
+		txs = append(txs, tx)
 		totalFees += e.fee
 	}
 	return txs, totalFees

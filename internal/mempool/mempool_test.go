@@ -1,6 +1,7 @@
 package mempool
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -130,8 +131,8 @@ func TestAddAndTemplate(t *testing.T) {
 	if pool.Len() != 2 {
 		t.Fatalf("Len=%d", pool.Len())
 	}
-	if got, ok := pool.Get(idA); !ok || got != txA {
-		t.Fatal("Get must return the pooled tx")
+	if !pool.Contains(idA) {
+		t.Fatal("Contains must report the pooled tx")
 	}
 
 	txs, fees := pool.BuildTemplate(0)
@@ -314,6 +315,15 @@ func TestRejectsImmatureCoinbaseSpend(t *testing.T) {
 	}
 }
 
+// poolBytes is the pool-form encoding of tx (StakePos zero): the bytes
+// the pool keeps and LookupByLeaf returns.
+func poolBytes(tx *txmodel.EBVTx) []byte {
+	cp := *tx
+	cp.Tidy.StakePos = 0
+	cp.Tidy.Invalidate()
+	return cp.Encode(nil)
+}
+
 // checkIndexConsistency asserts every mirror of the entry map agrees
 // with it: the lock-free id index, the fee heap, and the byte
 // accounting. Called after every mutation in the index tests.
@@ -341,7 +351,7 @@ func checkIndexConsistency(t *testing.T, p *Pool) {
 	if len(p.byFee) != len(p.entries) {
 		t.Errorf("fee heap holds %d entries, entry map %d", len(p.byFee), len(p.entries))
 	}
-	bytes := 0
+	total := 0
 	for i, e := range p.byFee {
 		if e.heapIdx != i {
 			t.Errorf("heap slot %d holds entry with heapIdx %d", i, e.heapIdx)
@@ -351,10 +361,10 @@ func checkIndexConsistency(t *testing.T, p *Pool) {
 		}
 	}
 	for _, e := range p.entries {
-		bytes += e.size
+		total += e.size
 	}
-	if bytes != p.bytes {
-		t.Errorf("byte accounting %d, entries sum to %d", p.bytes, bytes)
+	if total != p.bytes {
+		t.Errorf("byte accounting %d, entries sum to %d", p.bytes, total)
 	}
 }
 
@@ -371,8 +381,8 @@ func TestLeafIndexConsistentAcrossEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkIndexConsistency(t, pool)
-	if got, ok := pool.LookupByLeaf(idLow); !ok || got != txLow {
-		t.Fatal("LookupByLeaf must return the pooled tx")
+	if got, ok := pool.LookupByLeaf(idLow); !ok || !bytes.Equal(got, poolBytes(txLow)) {
+		t.Fatal("LookupByLeaf must return the pooled tx's pool-form bytes")
 	}
 
 	if _, err := pool.Add(txMid); err != nil {
@@ -392,7 +402,7 @@ func TestLeafIndexConsistentAcrossEviction(t *testing.T) {
 	if _, ok := pool.LookupByLeaf(idLow); ok {
 		t.Fatal("evicted tx must leave the leaf index")
 	}
-	if got, ok := pool.LookupByLeaf(idHigh); !ok || got != txHigh {
+	if got, ok := pool.LookupByLeaf(idHigh); !ok || !bytes.Equal(got, poolBytes(txHigh)) {
 		t.Fatal("surviving tx must stay indexed")
 	}
 	if n := len(pool.LeafHashes()); n != pool.Len() {
@@ -488,7 +498,7 @@ func TestLeafIndexConsistentAcrossBlockAndReorg(t *testing.T) {
 		t.Fatalf("re-admitting disconnected tx: %v", err)
 	}
 	checkIndexConsistency(t, pool)
-	if got, ok := pool.LookupByLeaf(readmitted); !ok || got != txA {
+	if got, ok := pool.LookupByLeaf(readmitted); !ok || !bytes.Equal(got, poolBytes(txA)) {
 		t.Fatal("re-admitted tx must be indexed by its leaf hash")
 	}
 	if pool.Len() != 2 {

@@ -26,8 +26,9 @@ func TestFeeRateTieBreakIsHexOrder(t *testing.T) {
 			copy(ids[i][:rng.Intn(hashx.Size)], ids[i-1][:])
 		}
 		// Every entry ties on fee rate; LockTime names the entry in the
-		// template's copies.
-		e := &entry{tx: &txmodel.EBVTx{Tidy: txmodel.TidyTx{LockTime: uint32(i)}}, id: ids[i], feeRate: 1}
+		// template's decodes.
+		raw := (&txmodel.EBVTx{Tidy: txmodel.TidyTx{LockTime: uint32(i)}}).Encode(nil)
+		e := &entry{raw: raw, id: ids[i], feeRate: 1}
 		p.entries[ids[i]] = e
 		h = append(h, e)
 	}

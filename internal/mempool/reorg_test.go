@@ -99,7 +99,7 @@ func TestEBVBlockDisconnectedDropsStale(t *testing.T) {
 	if pool.Len() != 1 {
 		t.Fatalf("pool after disconnect: %d entries, want only the deep-history spender", pool.Len())
 	}
-	if _, ok := pool.Get(survivorID); !ok {
+	if !pool.Contains(survivorID) {
 		t.Fatal("transaction spending prefix history must survive the reorg")
 	}
 	// The block's own txs plus the evicted pooled spender.

@@ -272,6 +272,10 @@ func TestStalledLightSubscriberGetsDropFlag(t *testing.T) {
 	}
 	waitFor(t, "subscription", func() bool { return gn.LightStats().Subscribers == 1 })
 	p := pipePeer(gn)
+	// Our hello's charge is released only after the writer's flush
+	// returns; wait for it so the bound below counts only what the
+	// stall holds.
+	waitFor(t, "hello drained", func() bool { return p.Queued() == 0 })
 
 	// The mined block's inv stalls the writer; every push after it waits
 	// in the subscription queue.

@@ -15,15 +15,16 @@ import (
 	"ebv/internal/txmodel"
 )
 
-// testSource is a canned relay.TxSource standing in for a mempool.
+// testSource is a canned relay.TxSource standing in for a mempool:
+// pool-form encodings by leaf.
 type testSource struct {
-	m      map[hashx.Hash]*txmodel.EBVTx
+	m      map[hashx.Hash][]byte
 	leaves []hashx.Hash
 }
 
-func (s *testSource) LookupByLeaf(leaf hashx.Hash) (*txmodel.EBVTx, bool) {
-	tx, ok := s.m[leaf]
-	return tx, ok
+func (s *testSource) LookupByLeaf(leaf hashx.Hash) ([]byte, bool) {
+	raw, ok := s.m[leaf]
+	return raw, ok
 }
 
 func (s *testSource) LeafHashes() []hashx.Hash { return s.leaves }
@@ -37,7 +38,7 @@ func sourceFromBlock(t testing.TB, raw []byte, keep func(i int) bool) *testSourc
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &testSource{m: map[hashx.Hash]*txmodel.EBVTx{}}
+	src := &testSource{m: map[hashx.Hash][]byte{}}
 	for i := 1; i < len(blk.Txs); i++ {
 		if !keep(i) {
 			continue
@@ -46,7 +47,7 @@ func sourceFromBlock(t testing.TB, raw []byte, keep func(i int) bool) *testSourc
 		cp.Tidy.StakePos = 0
 		cp.Tidy.Invalidate()
 		leaf := cp.Tidy.LeafHash()
-		src.m[leaf] = &cp
+		src.m[leaf] = cp.Encode(nil)
 		src.leaves = append(src.leaves, leaf)
 	}
 	return src

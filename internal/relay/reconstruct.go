@@ -16,10 +16,10 @@ import (
 // and LookupByLeaf may miss a transaction evicted since — the
 // reconstructor then simply requests that slot.
 type TxSource interface {
-	// LookupByLeaf returns the pooled transaction whose pool-form tidy
-	// leaf hash (StakePos zero) is leaf. The returned transaction must
-	// be treated as immutable.
-	LookupByLeaf(leaf hashx.Hash) (*txmodel.EBVTx, bool)
+	// LookupByLeaf returns the pool-form encoding (StakePos zero) of
+	// the pooled transaction whose pool-form tidy leaf hash is leaf.
+	// The bytes are the source's own and are only read.
+	LookupByLeaf(leaf hashx.Hash) ([]byte, bool)
 	// LeafHashes returns a snapshot of every pooled transaction's leaf
 	// hash.
 	LeafHashes() []hashx.Hash
@@ -86,19 +86,18 @@ func NewReconstructor(c *Compact, salt uint64, src TxSource) *Reconstructor {
 		if !ok || leaf == nil {
 			continue // unknown or ambiguous: request this slot
 		}
-		tx, ok := src.LookupByLeaf(*leaf)
+		pooled, ok := src.LookupByLeaf(*leaf)
 		if !ok {
 			continue // evicted since the snapshot
 		}
-		// Re-encode the pooled transaction with the announced stake
-		// position. The copy is shallow — bodies and scripts are shared
-		// and only read — while the tidy struct (and its leaf memo)
-		// travels by value, so the pooled original keeps StakePos 0 and
-		// its admission-time memo.
-		cp := *tx
-		cp.Tidy.StakePos = r.stake[i]
-		cp.Tidy.Invalidate()
-		r.slots[i] = cp.Encode(make([]byte, 0, cp.EncodedSize()))
+		// Splice the announced stake position into a copy of the pooled
+		// bytes; the pool's own stay in their pool form. Bytes that are
+		// not a pool-form transaction leave the slot to be requested.
+		raw, err := txmodel.SpliceStakePos(pooled, r.stake[i])
+		if err != nil {
+			continue
+		}
+		r.slots[i] = raw
 		r.left--
 	}
 	return r

@@ -11,9 +11,9 @@
 // leaf hash — the leaf hash with StakePos zero, which is exactly the
 // mempool's transaction id, memoized at admission. Block transactions
 // differ from their pooled form only in the miner-assigned StakePos,
-// and the EBV encoding is canonical, so re-encoding a pooled
-// transaction with the announced stake position reproduces the block's
-// bytes exactly. The id is salted with a per-connection nonce from the
+// and the EBV encoding is canonical, so splicing the announced stake
+// position into a pooled transaction's bytes (txmodel.SpliceStakePos)
+// reproduces the block's bytes exactly. The id is salted with a per-connection nonce from the
 // announcer's hello, so a collision crafted against one peer's salt
 // buys nothing against any other peer.
 //

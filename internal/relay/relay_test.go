@@ -37,15 +37,15 @@ func buildChain(t testing.TB, blocks int) *chainstore.Store {
 	return im.Chain()
 }
 
-// mapSource is a TxSource over a fixed set of pool-form transactions.
+// mapSource is a TxSource over a fixed set of pool-form encodings.
 type mapSource struct {
-	m      map[hashx.Hash]*txmodel.EBVTx
+	m      map[hashx.Hash][]byte
 	leaves []hashx.Hash
 }
 
-func (s *mapSource) LookupByLeaf(leaf hashx.Hash) (*txmodel.EBVTx, bool) {
-	tx, ok := s.m[leaf]
-	return tx, ok
+func (s *mapSource) LookupByLeaf(leaf hashx.Hash) ([]byte, bool) {
+	raw, ok := s.m[leaf]
+	return raw, ok
 }
 
 func (s *mapSource) LeafHashes() []hashx.Hash { return s.leaves }
@@ -63,7 +63,7 @@ func poolForm(tx *txmodel.EBVTx) *txmodel.EBVTx {
 // non-coinbase transactions at indexes where keep returns true.
 func sourceFor(t *testing.T, info *BlockInfo, keep func(i int) bool) *mapSource {
 	t.Helper()
-	src := &mapSource{m: map[hashx.Hash]*txmodel.EBVTx{}}
+	src := &mapSource{m: map[hashx.Hash][]byte{}}
 	for i := 1; i < info.TxCount(); i++ {
 		if !keep(i) {
 			continue
@@ -78,7 +78,7 @@ func sourceFor(t *testing.T, info *BlockInfo, keep func(i int) bool) *mapSource 
 		}
 		p := poolForm(tx)
 		leaf := p.Tidy.LeafHash()
-		src.m[leaf] = p
+		src.m[leaf] = p.Encode(nil)
 		src.leaves = append(src.leaves, leaf)
 	}
 	return src

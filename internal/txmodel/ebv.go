@@ -3,6 +3,7 @@ package txmodel
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"ebv/internal/hashx"
 	"ebv/internal/merkle"
@@ -299,6 +300,48 @@ func DecodeEBVTxInto(t *EBVTx, data []byte, a *Arena) error {
 	decodeEBVTxInto(t, &r)
 	return r.done()
 }
+
+// SpliceStakePos returns a new encoding of the transaction raw
+// encodes, with its stake position set to pos. raw must be the pool
+// form — a canonical EBV transaction encoding whose stake position is
+// zero — and anything else is rejected with an error wrapping
+// ErrDecode. The result is raw with two fields rewritten: the tidy
+// part's final StakePos varint and the tidy length prefix ahead of it.
+// Nothing is re-encoded, so the result is exactly what encoding the
+// decoded transaction with StakePos = pos produces. raw is checked
+// with a borrowed decode into pooled scratch; the result is a fresh
+// slice that shares nothing with raw or the scratch.
+func SpliceStakePos(raw []byte, pos uint32) ([]byte, error) {
+	s := spliceScratch.Get().(*spliceCheck)
+	s.arena.Reset()
+	err := DecodeEBVTxInto(&s.tx, raw, &s.arena)
+	stake := s.tx.Tidy.StakePos
+	spliceScratch.Put(s)
+	if err != nil {
+		return nil, err
+	}
+	if stake != 0 {
+		return nil, fmt.Errorf("%w: stake position %d, want the pool form's 0", ErrDecode, stake)
+	}
+	// The check proved raw is uvarint(tidy length) ‖ tidy ‖ bodies with
+	// the tidy ending in the one-byte varint 0x00.
+	tidyLen, n := binary.Uvarint(raw)
+	end := n + int(tidyLen)
+	spliced := tidyLen - 1 + uint64(uvarintLen(uint64(pos)))
+	out := make([]byte, 0, uvarintLen(spliced)+int(spliced)+len(raw)-end)
+	out = binary.AppendUvarint(out, spliced)
+	out = append(out, raw[n:end-1]...)
+	out = binary.AppendUvarint(out, uint64(pos))
+	return append(out, raw[end:]...), nil
+}
+
+// spliceCheck is SpliceStakePos's decode scratch.
+type spliceCheck struct {
+	tx    EBVTx
+	arena Arena
+}
+
+var spliceScratch = sync.Pool{New: func() any { return new(spliceCheck) }}
 
 func decodeEBVTxInto(t *EBVTx, r *reader) {
 	tidy := r.varbytes(maxBodyBytes)

@@ -2,6 +2,7 @@ package txmodel
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -80,5 +81,49 @@ func FuzzDecodeEBVTx(f *testing.F) {
 		// Both decodes hash their actual bytes, memoized or not.
 		checkDigests(t, "copying decode", decoded)
 		checkDigests(t, "zero-copy decode", &zc)
+	})
+}
+
+// FuzzStakePosSplice pins SpliceStakePos to the slow path it replaces:
+// on any input that decodes with StakePos 0 (the pool form), splicing
+// in a stake position equals decode → set StakePos → Encode, byte for
+// byte; every other input is rejected.
+func FuzzStakePosSplice(f *testing.F) {
+	tx := &EBVTx{Tidy: sampleTidy(), Bodies: []InputBody{sampleBody(), sampleBody()}}
+	tx.Bodies[1].RelIndex = 0
+	tx.Tidy.StakePos = 0
+	tx.SealInputHashes()
+	pool := tx.Encode(nil)
+	f.Add(pool, uint32(0))
+	f.Add(pool, uint32(1))
+	f.Add(pool, uint32(300))
+	f.Add(pool, uint32(1<<32-1))
+	tx.Tidy.StakePos = 19
+	f.Add(tx.Encode(nil), uint32(5)) // decodes, but not the pool form
+	f.Add(append(pool, 0), uint32(5))
+	f.Add([]byte{}, uint32(5))
+	f.Fuzz(func(t *testing.T, data []byte, pos uint32) {
+		got, err := SpliceStakePos(data, pos)
+		decoded, derr := DecodeEBVTx(data)
+		if derr != nil || decoded.Tidy.StakePos != 0 {
+			if err == nil {
+				t.Fatalf("spliced an input that is not the pool form (decode error %v)", derr)
+			}
+			if !errors.Is(err, ErrDecode) {
+				t.Fatalf("rejection %v does not wrap ErrDecode", err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("rejected a pool-form input: %v", err)
+		}
+		decoded.Tidy.StakePos = pos
+		decoded.Tidy.Invalidate()
+		if want := decoded.Encode(nil); !bytes.Equal(got, want) {
+			t.Fatalf("splice at %d: %x, re-encoding gives %x", pos, got, want)
+		}
+		if len(got) > 0 && len(data) > 0 && &got[0] == &data[0] {
+			t.Fatal("splice aliases its input")
+		}
 	})
 }

@@ -64,6 +64,11 @@ echo "== verdict-route equivalence loop (reference model, -race) =="
 go test -race -count=5 -run 'TestPipelineEquivalence|TestPipelineFailureDeterministic|TestPreverifyConnectEquivalence|TestReferenceAcceptsChain|TestRecycledVerdictsDoNotLeak|TestTxBatchMatchesReference|TestCommitRetiresCacheKeys' \
 	./internal/core
 go test -race -count=5 -run 'TestVerifyBlock' ./internal/light
+# Admission borrow-decodes each batch and the pool keeps only bytes:
+# the equivalence gate, the pool's index and eviction tests and the
+# relay's splice-and-assemble tests read those bytes from several
+# goroutines.
+go test -race -count=5 ./internal/mempool ./internal/relay ./internal/admission
 
 echo "== verified-proof cache loop (reference LRU, -race) =="
 # The cache's index and LRU links are hand-managed slot arrays; pin
@@ -77,6 +82,11 @@ echo "== allocation gate (warm ingest path) =="
 go test -run 'TestWarmAdmissionAllocBudget|TestWarmDecodeZeroAllocs|TestWarmConnectAllocBudget' \
 	./internal/core/
 go test -run 'TestScratchBuffersSteadyStateZeroAllocs' ./internal/ingest/
+# One admitted transaction, intake to commit, allocates at most its
+# measured budget of objects; the pool holds each transaction as its
+# size-classed bytes plus a fixed record.
+go test -run 'TestAdmissionAllocBudget' ./internal/admission/
+go test -run 'TestPoolHoldsWireBytes' ./internal/mempool/
 # The verified-proof cache: at most 56 B per entry when full, almost
 # nothing before the first Add, no allocation on Contains, on an Add
 # that reuses an evicted slot, or on a steady Add+Remove cycle.
