@@ -8,8 +8,8 @@
 //  1. Intake, on the submitter's goroutine: a size cap, a per-source
 //     token-bucket rate limit, syntax (a borrowed decode into pooled
 //     scratch, which also yields the pool id), and duplicate-by-id —
-//     all without touching the pool lock (membership is probed through
-//     the pool's lock-free id mirror). Rejections here never consume
+//     nothing here takes a lock but the pool's read lock, held for one
+//     map probe of its id index. Rejections here never consume
 //     verification work. A queued submission holds its wire bytes.
 //  2. Batching: a bounded queue feeds a single collector goroutine
 //     that gathers up to Config.BatchSize transactions or waits at
@@ -308,8 +308,8 @@ func (s *Service) SubmitAsync(source string, raw []byte, done func(Result)) {
 		done(s.reject(hashx.ZeroHash, fmt.Errorf("%w: %v", ErrMalformed, err)))
 		return
 	}
-	// Duplicate-by-id sheds resubmit floods without the pool lock.
-	// Only POOLED ids count: a transaction still in flight (or one
+	// Duplicate-by-id sheds resubmit floods under the pool's read
+	// lock, which waits only on a commit. Only POOLED ids count: a transaction still in flight (or one
 	// that was rejected) is not deduplicated here, so a resubmission
 	// re-validates and receives the same verdict sequential admission
 	// would give it. The pool's locked duplicate check remains

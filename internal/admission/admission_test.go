@@ -154,7 +154,7 @@ func TestRateLimitPerSource(t *testing.T) {
 }
 
 // TestIntakeRejections covers size cap, malformed bytes, and the
-// lock-free duplicate probe.
+// pooled-duplicate probe.
 func TestIntakeRejections(t *testing.T) {
 	var dupID hashx.Hash
 	copy(dupID[:], rawID(7))

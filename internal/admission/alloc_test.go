@@ -12,12 +12,13 @@ import (
 )
 
 // admitAllocsPerTx is the allocation budget of one admitted one-input
-// transaction from intake to commit. Measured at 15.3–15.6 with go1.24:
+// transaction from intake to commit. Measured at 13.0 with go1.24:
 // about 7 in script execution (the uncached SV check), 1 submission
 // record, 2 for the pool's record and spends, 1 for its copy of the
-// bytes, and about 3 for the id mirror and map slots; the per-batch
-// allocations are spread over the batch. The same test measures 26.2
-// with the pool holding decoded transactions.
+// bytes, and about 1 for map slots; the per-batch allocations are
+// spread over the batch. The same test measures 15.3–15.6 with a
+// second, lock-free id index beside the entry map, and 26.2 with the
+// pool holding decoded transactions.
 const admitAllocsPerTx = 16
 
 // TestAdmissionAllocBudget pins the objects one admitted transaction

@@ -79,7 +79,7 @@ func (b *EBVBackend) Decode(raw []byte) (Submission, error) {
 	return &ebvSub{raw: raw, id: tx.Tidy.LeafHash()}, nil
 }
 
-// Contains probes the pool's lock-free id mirror.
+// Contains probes the pool's id index under its read lock.
 func (b *EBVBackend) Contains(id hashx.Hash) bool { return b.Pool.Contains(id) }
 
 // CommitBatch validates the whole batch at once and commits survivors

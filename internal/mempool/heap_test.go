@@ -12,15 +12,16 @@ import (
 )
 
 // poolRecordBudget is the heap the pool may spend per admitted
-// transaction beside its bytes: the entry record (112 B), the spends
-// slice, the entries map slot, the spent-index slot per input, the
-// lock-free id mirror (a boxed 32-byte key and its node) and the fee
-// heap's slot, with room for the maps' doubling. About 460 B is
-// measured at this test's 170 one-input transactions. A pool that kept
-// each transaction's decoded object graph (about 1.9× its wire size)
-// holds about 1 280 B per 411-byte transaction here and fails the
-// bound by about 290 B a transaction.
-const poolRecordBudget = 576
+// transaction beside its bytes: the 96-byte entry record, its spends
+// slice, its slot in the entries map (the pool's one id index), one
+// spent-index slot per input and its fee heap slot, with room for the
+// maps' doubling. About 250 B is measured at this test's 170
+// one-input transactions. A pool that kept a second, lock-free id
+// index (a boxed 32-byte key and its node per entry) beside a 120-byte
+// record holds about 440 B per transaction and fails the bound; one
+// that kept each transaction's decoded object graph (about 1.9× its
+// wire size) holds about 1 280 B per 411-byte transaction here.
+const poolRecordBudget = 320
 
 // TestPoolHoldsWireBytes pins what a pooled transaction costs: the
 // live heap the pool adds per admitted transaction is at most its

@@ -13,13 +13,18 @@
 // (blockmodel.AssembleEBV).
 //
 // The pool keeps each admitted transaction as one owned byte slice,
-// its pool-form encoding (StakePos zero), beside a fixed record of
-// what admission computed: id, fee, size, fee rate, output count and
-// spends. No decoded object graph outlives admission. BuildTemplate
-// decodes only the transactions it selects, compact relay splices the
-// announced stake position into the stored bytes
-// (txmodel.SpliceStakePos), and block connect and disconnect work from
-// the cached spends.
+// its pool-form encoding (StakePos zero), beside a fixed 96-byte record
+// of what admission computed: id, fee, output count and spends; the
+// size and the fee rate derive from the bytes. No decoded object graph
+// outlives admission. BuildTemplate decodes only the transactions it
+// selects, compact relay splices the announced stake position into the
+// stored bytes (txmodel.SpliceStakePos), and block connect and
+// disconnect work from the cached spends.
+//
+// The entry map is the pool's one id index. Membership probes and the
+// compact-relay lookups read it under the pool's read lock, so they
+// never wait on one another, only on a writer: a commit, a block
+// connect or a disconnect.
 package mempool
 
 import (
@@ -95,12 +100,13 @@ type entry struct {
 	raw     []byte // pool-form encoding (StakePos 0); owned, never modified
 	id      hashx.Hash
 	fee     uint64
-	size    int     // len(raw)
-	feeRate float64 // fee per encoded byte
-	outputs int     // output count, BuildTemplate's budget
 	spends  []statusdb.Spend
-	heapIdx int // position in the fee-rate min-heap
+	outputs int32 // output count, BuildTemplate's budget
+	heapIdx int32 // position in the fee-rate min-heap
 }
+
+// feeRate is the fee per encoded byte.
+func (e *entry) feeRate() float64 { return float64(e.fee) / float64(len(e.raw)) }
 
 // feeHeap is a min-heap over the pool's entries by fee rate (lowest
 // first, id tie-break for determinism): the eviction side of the fee
@@ -110,19 +116,19 @@ type feeHeap []*entry
 
 func (h feeHeap) Len() int { return len(h) }
 func (h feeHeap) Less(i, j int) bool {
-	if h[i].feeRate != h[j].feeRate {
-		return h[i].feeRate < h[j].feeRate
+	if ri, rj := h[i].feeRate(), h[j].feeRate(); ri != rj {
+		return ri < rj
 	}
 	return bytes.Compare(h[i].id[:], h[j].id[:]) < 0
 }
 func (h feeHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
+	h[i].heapIdx = int32(i)
+	h[j].heapIdx = int32(j)
 }
 func (h *feeHeap) Push(x any) {
 	e := x.(*entry)
-	e.heapIdx = len(*h)
+	e.heapIdx = int32(len(*h))
 	*h = append(*h, e)
 }
 func (h *feeHeap) Pop() any {
@@ -140,23 +146,14 @@ type Pool struct {
 	cfg       Config
 	validator *core.EBVValidator
 
-	mu         sync.Mutex
+	mu         sync.RWMutex
 	entries    map[hashx.Hash]*entry
-	spent      map[statusdb.Spend]hashx.Hash // output -> pooled spender
+	spent      map[statusdb.Spend]*entry // output -> pooled spender
 	byFee      feeHeap
 	bytes      int     // summed encoded sizes of pooled transactions
 	floor      float64 // current eviction floor (>= cfg.MinFeeRate)
 	evictions  int
 	staleDrops int
-
-	// ids mirrors the entry map for lock-free reads: membership probes
-	// (the admission service's intake stage sheds resubmit floods
-	// without touching the pool lock) and the compact-relay
-	// reconstruction path's O(1) leaf-hash lookups. Entries are
-	// immutable once admitted, so handing out e.raw without the lock is
-	// safe as long as callers treat it as read-only. The locked check
-	// in addLocked stays authoritative.
-	ids sync.Map // hashx.Hash -> *entry
 }
 
 // New creates a pool admitting against the given validator's chain
@@ -167,73 +164,79 @@ func New(validator *core.EBVValidator, cfg Config) *Pool {
 		cfg:       cfg,
 		validator: validator,
 		entries:   make(map[hashx.Hash]*entry),
-		spent:     make(map[statusdb.Spend]hashx.Hash),
+		spent:     make(map[statusdb.Spend]*entry),
 		floor:     cfg.MinFeeRate,
 	}
 }
 
 // Len returns the number of pooled transactions.
 func (p *Pool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	return len(p.entries)
 }
 
 // Bytes returns the summed encoded size of pooled transactions.
 func (p *Pool) Bytes() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	return p.bytes
 }
 
-// Contains reports whether id is pooled, without taking the pool
-// lock. It may lag a concurrent add or removal by one commit — callers
-// needing an authoritative answer must go through Add/CommitBatch,
-// whose locked duplicate check decides.
+// Contains reports whether id is pooled, under the pool's read lock.
+// The answer holds only until the next commit — callers needing an
+// authoritative answer must go through Add/CommitBatch, whose
+// duplicate check under the write lock decides.
 func (p *Pool) Contains(id hashx.Hash) bool {
-	_, ok := p.ids.Load(id)
+	p.mu.RLock()
+	_, ok := p.entries[id]
+	p.mu.RUnlock()
 	return ok
 }
 
 // LookupByLeaf returns the pool-form encoding (StakePos zero) of the
 // pooled transaction whose id — the pool-form tidy leaf hash — is
-// leaf, without taking the pool lock. The bytes are the pool's own and
-// must not be modified; like Contains, the answer may lag a concurrent
-// add or removal by one commit, which compact-relay reconstruction
-// tolerates (a miss just means requesting that transaction). Satisfies
+// leaf, under the pool's read lock. The bytes are the pool's own,
+// immutable once admitted, and must not be modified; a removal after
+// the call leaves them valid. Like Contains, the answer holds only
+// until the next commit, which compact-relay reconstruction tolerates
+// (a miss just means requesting that transaction). Satisfies
 // relay.TxSource.
 func (p *Pool) LookupByLeaf(leaf hashx.Hash) ([]byte, bool) {
-	v, ok := p.ids.Load(leaf)
+	p.mu.RLock()
+	e, ok := p.entries[leaf]
+	p.mu.RUnlock()
 	if !ok {
 		return nil, false
 	}
-	return v.(*entry).raw, true
+	return e.raw, true
 }
 
 // LeafHashes returns a snapshot of every pooled transaction's id
-// (pool-form tidy leaf hash), without taking the pool lock. Satisfies
-// relay.TxSource.
+// (pool-form tidy leaf hash), taken under the pool's read lock.
+// Satisfies relay.TxSource.
 func (p *Pool) LeafHashes() []hashx.Hash {
-	var out []hashx.Hash
-	p.ids.Range(func(k, _ any) bool {
-		out = append(out, k.(hashx.Hash))
-		return true
-	})
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	out := make([]hashx.Hash, 0, len(p.entries))
+	for id := range p.entries {
+		out = append(out, id)
+	}
 	return out
 }
 
 // Evictions returns how many transactions have been evicted by the
 // fee market since the pool was created.
 func (p *Pool) Evictions() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	return p.evictions
 }
 
 // EvictionFloor returns the current fee-rate floor (0 when inactive).
 func (p *Pool) EvictionFloor() float64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	return p.floor
 }
 
@@ -308,10 +311,8 @@ func newEntry(tx *txmodel.EBVTx, raw []byte, id hashx.Hash) *entry {
 		raw:     raw,
 		id:      id,
 		fee:     fee,
-		size:    len(raw),
-		feeRate: float64(fee) / float64(len(raw)),
-		outputs: len(tx.Tidy.Outputs),
 		spends:  make([]statusdb.Spend, len(tx.Bodies)),
+		outputs: int32(len(tx.Tidy.Outputs)),
 		heapIdx: -1,
 	}
 	for i := range tx.Bodies {
@@ -330,18 +331,17 @@ func (p *Pool) addLocked(e *entry) (hashx.Hash, error) {
 	for _, sp := range e.spends {
 		if other, ok := p.spent[sp]; ok {
 			return hashx.ZeroHash, fmt.Errorf("%w: output %d:%d already spent by %s",
-				ErrConflict, sp.Height, sp.Pos, other.Short())
+				ErrConflict, sp.Height, sp.Pos, other.id.Short())
 		}
 	}
 	if err := p.makeRoomLocked(e); err != nil {
 		return hashx.ZeroHash, err
 	}
 	p.entries[e.id] = e
-	p.ids.Store(e.id, e)
 	heap.Push(&p.byFee, e)
-	p.bytes += e.size
+	p.bytes += len(e.raw)
 	for _, sp := range e.spends {
-		p.spent[sp] = e.id
+		p.spent[sp] = e
 	}
 	return e.id, nil
 }
@@ -353,38 +353,39 @@ func (p *Pool) addLocked(e *entry) (hashx.Hash, error) {
 // until block activity gives the pool slack again
 // (maybeResetFloorLocked).
 func (p *Pool) makeRoomLocked(e *entry) error {
-	if p.floor > 0 && e.feeRate <= p.floor {
-		return fmt.Errorf("%w: %.6g <= %.6g", ErrBelowEvictionFloor, e.feeRate, p.floor)
+	rate := e.feeRate()
+	if p.floor > 0 && rate <= p.floor {
+		return fmt.Errorf("%w: %.6g <= %.6g", ErrBelowEvictionFloor, rate, p.floor)
 	}
-	for len(p.entries)+1 > p.cfg.MaxTxs || p.bytes+e.size > p.cfg.MaxBytes {
+	for len(p.entries)+1 > p.cfg.MaxTxs || p.bytes+len(e.raw) > p.cfg.MaxBytes {
 		if len(p.byFee) == 0 {
 			// A single oversized transaction can exceed MaxBytes on its
 			// own; nothing to evict.
 			return ErrPoolFull
 		}
 		lowest := p.byFee[0]
-		if lowest.feeRate >= e.feeRate {
+		lowRate := lowest.feeRate()
+		if lowRate >= rate {
 			// Not worth evicting an equal-or-better payer.
 			return ErrPoolFull
 		}
 		heap.Pop(&p.byFee)
 		p.dropLocked(lowest)
 		p.evictions++
-		if lowest.feeRate > p.floor {
-			p.floor = lowest.feeRate
+		if lowRate > p.floor {
+			p.floor = lowRate
 		}
 	}
 	return nil
 }
 
 // dropLocked removes an entry already popped from (or absent from) the
-// fee heap: the map, the spend claims, the byte count, the id mirror.
+// fee heap: the map, the spend claims and the byte count.
 func (p *Pool) dropLocked(e *entry) {
 	delete(p.entries, e.id)
-	p.ids.Delete(e.id)
-	p.bytes -= e.size
+	p.bytes -= len(e.raw)
 	for _, sp := range e.spends {
-		if p.spent[sp] == e.id {
+		if p.spent[sp] == e {
 			delete(p.spent, sp)
 		}
 	}
@@ -405,7 +406,7 @@ func (p *Pool) maybeResetFloorLocked() {
 // eviction, stale-proof drops, revalidation failures).
 func (p *Pool) removeLocked(e *entry) {
 	if e.heapIdx >= 0 {
-		heap.Remove(&p.byFee, e.heapIdx)
+		heap.Remove(&p.byFee, int(e.heapIdx))
 	}
 	p.dropLocked(e)
 }
@@ -420,23 +421,23 @@ func (p *Pool) BuildTemplate(maxOutputs int) (txs []*txmodel.EBVTx, totalFees ui
 	if maxOutputs <= 0 || maxOutputs > blockmodel.MaxBlockOutputs {
 		maxOutputs = blockmodel.MaxBlockOutputs
 	}
-	p.mu.Lock()
+	p.mu.RLock()
 	ordered := make([]*entry, 0, len(p.entries))
 	for _, e := range p.entries {
 		ordered = append(ordered, e)
 	}
-	p.mu.Unlock()
+	p.mu.RUnlock()
 	// Entries are immutable, so the sort and the decodes run without
 	// the lock, on the snapshot.
 	sort.Slice(ordered, func(i, j int) bool {
-		if ordered[i].feeRate != ordered[j].feeRate {
-			return ordered[i].feeRate > ordered[j].feeRate
+		if ri, rj := ordered[i].feeRate(), ordered[j].feeRate(); ri != rj {
+			return ri > rj
 		}
 		return bytes.Compare(ordered[i].id[:], ordered[j].id[:]) < 0 // deterministic tie-break
 	})
 	outputs := 1 // miner's coinbase output
 	for _, e := range ordered {
-		if outputs+e.outputs > maxOutputs {
+		if outputs+int(e.outputs) > maxOutputs {
 			continue
 		}
 		tx, err := txmodel.DecodeEBVTx(e.raw)
@@ -444,7 +445,7 @@ func (p *Pool) BuildTemplate(maxOutputs int) (txs []*txmodel.EBVTx, totalFees ui
 			// The pool stores only bytes it encoded or decoded itself.
 			panic(fmt.Sprintf("mempool: pooled transaction %s does not decode: %v", e.id.Short(), err))
 		}
-		outputs += e.outputs
+		outputs += int(e.outputs)
 		txs = append(txs, tx)
 		totalFees += e.fee
 	}
@@ -474,10 +475,10 @@ func (p *Pool) BlockConnected(b *blockmodel.EBVBlock) int {
 		}
 		for j := range tx.Bodies {
 			sp := statusdb.Spend{Height: tx.Bodies[j].Height, Pos: tx.Bodies[j].AbsPosition()}
-			if id, ok := p.spent[sp]; ok {
+			if e, ok := p.spent[sp]; ok {
 				// removeLocked releases every spend claim of the entry,
 				// so its other inputs cannot double-count it.
-				p.removeLocked(p.entries[id])
+				p.removeLocked(e)
 				dropped++
 			}
 		}
@@ -518,7 +519,7 @@ func (p *Pool) BlockDisconnected(b *blockmodel.EBVBlock) int {
 // StaleProofDrops returns how many transactions have been dropped (or
 // refused re-admission) because their proofs went stale in a reorg.
 func (p *Pool) StaleProofDrops() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
 	return p.staleDrops
 }

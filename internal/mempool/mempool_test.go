@@ -3,6 +3,8 @@ package mempool
 import (
 	"bytes"
 	"errors"
+	"slices"
+	"sync"
 	"testing"
 
 	"ebv/internal/blockmodel"
@@ -324,36 +326,35 @@ func poolBytes(tx *txmodel.EBVTx) []byte {
 	return cp.Encode(nil)
 }
 
-// checkIndexConsistency asserts every mirror of the entry map agrees
-// with it: the lock-free id index, the fee heap, and the byte
-// accounting. Called after every mutation in the index tests.
+// checkIndexConsistency asserts every index over the entry map agrees
+// with it: the spender index, the fee heap, and the byte accounting.
+// Called after every mutation in the index tests.
 func checkIndexConsistency(t *testing.T, p *Pool) {
 	t.Helper()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	mirrored := 0
-	p.ids.Range(func(k, v any) bool {
-		mirrored++
-		id := k.(hashx.Hash)
-		e, ok := p.entries[id]
-		if !ok {
-			t.Errorf("id index holds %s, entry map does not", id.Short())
-			return true
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	for sp, e := range p.spent {
+		if p.entries[e.id] != e {
+			t.Errorf("spender index maps %d:%d to %s, entry map does not hold that entry", sp.Height, sp.Pos, e.id.Short())
+			continue
 		}
-		if v.(*entry) != e {
-			t.Errorf("id index and entry map disagree on %s", id.Short())
+		if !slices.Contains(e.spends, sp) {
+			t.Errorf("spender index maps %d:%d to %s, which does not spend it", sp.Height, sp.Pos, e.id.Short())
 		}
-		return true
-	})
-	if mirrored != len(p.entries) {
-		t.Errorf("id index holds %d entries, entry map %d", mirrored, len(p.entries))
+	}
+	for _, e := range p.entries {
+		for _, sp := range e.spends {
+			if p.spent[sp] != e {
+				t.Errorf("entry %s spends %d:%d, spender index does not map it back", e.id.Short(), sp.Height, sp.Pos)
+			}
+		}
 	}
 	if len(p.byFee) != len(p.entries) {
 		t.Errorf("fee heap holds %d entries, entry map %d", len(p.byFee), len(p.entries))
 	}
 	total := 0
 	for i, e := range p.byFee {
-		if e.heapIdx != i {
+		if int(e.heapIdx) != i {
 			t.Errorf("heap slot %d holds entry with heapIdx %d", i, e.heapIdx)
 		}
 		if p.entries[e.id] != e {
@@ -361,7 +362,7 @@ func checkIndexConsistency(t *testing.T, p *Pool) {
 		}
 	}
 	for _, e := range p.entries {
-		total += e.size
+		total += len(e.raw)
 	}
 	if total != p.bytes {
 		t.Errorf("byte accounting %d, entries sum to %d", p.bytes, total)
@@ -503,5 +504,109 @@ func TestLeafIndexConsistentAcrossBlockAndReorg(t *testing.T) {
 	}
 	if pool.Len() != 2 {
 		t.Fatalf("pool holds %d txs after re-admission, want 2 (txA, txB)", pool.Len())
+	}
+}
+
+// TestConcurrentPoolReads runs the pool's read-locked readers —
+// Contains, LookupByLeaf, LeafHashes and the index check — while one
+// writer cycles the pool through CommitBatch, BlockConnected and
+// BlockDisconnected. A LookupByLeaf hit must be its transaction's
+// pool-form bytes, a LeafHashes snapshot must name only known ids,
+// each once, and every read-locked look at the indexes must find them
+// in agreement: no reader sees an entry half added or half removed.
+func TestConcurrentPoolReads(t *testing.T) {
+	e := newEnv(t, 250)
+	raws := e.spendFirstOutputs(t, 1_000)
+	if len(raws) < 64 {
+		t.Fatalf("only %d spendable outputs, want at least 64", len(raws))
+	}
+	cands := make([]Candidate, len(raws))
+	want := make(map[hashx.Hash][]byte, len(raws))
+	ids := make([]hashx.Hash, len(raws))
+	for i, raw := range raws {
+		tx, err := txmodel.DecodeEBVTx(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = tx.Tidy.LeafHash()
+		cands[i] = Candidate{Tx: tx, Raw: raw, ID: ids[i]}
+		want[ids[i]] = poolBytes(tx)
+	}
+	absent := hashx.Hash{0xff, 0xfe}
+	pool := New(e.val, Config{})
+
+	const rounds = 40
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var hits [3]int
+	for r := range hits {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-done:
+					if n >= 50 {
+						return
+					}
+				default:
+				}
+				id := ids[(n*7+r)%len(ids)]
+				if pool.Contains(absent) {
+					t.Errorf("Contains reports an id never offered")
+					return
+				}
+				if pool.Contains(id) {
+					hits[r]++
+				}
+				if raw, ok := pool.LookupByLeaf(id); ok && !bytes.Equal(raw, want[id]) {
+					t.Errorf("LookupByLeaf(%s) returned bytes other than its pool form", id.Short())
+					return
+				}
+				if n%8 == 0 {
+					seen := make(map[hashx.Hash]bool)
+					for _, h := range pool.LeafHashes() {
+						if _, known := want[h]; !known || seen[h] {
+							t.Errorf("LeafHashes snapshot holds unknown or repeated id %s", h.Short())
+							return
+						}
+						seen[h] = true
+					}
+					checkIndexConsistency(t, pool)
+				}
+			}
+		}(r)
+	}
+
+	coinbase := &txmodel.EBVTx{}
+	for round := 0; round < rounds; round++ {
+		for _, err := range pool.CommitBatch(cands) {
+			if err != nil && !errors.Is(err, ErrDuplicate) {
+				t.Errorf("round %d: CommitBatch: %v", round, err)
+			}
+		}
+		// Mine a third of the candidates, then disconnect a block high
+		// enough to make some of the rest stale.
+		mined := []*txmodel.EBVTx{coinbase}
+		for i := round % 3; i < len(cands); i += 3 {
+			mined = append(mined, cands[i].Tx)
+		}
+		pool.BlockConnected(&blockmodel.EBVBlock{Txs: mined})
+		stale := &blockmodel.EBVBlock{Txs: []*txmodel.EBVTx{coinbase}}
+		stale.Header.Height = uint64(100 + 4*round)
+		pool.BlockDisconnected(stale)
+	}
+	pool.CommitBatch(cands)
+	close(done)
+	wg.Wait()
+
+	checkIndexConsistency(t, pool)
+	if pool.Len() != len(cands) {
+		t.Fatalf("pool holds %d of %d transactions after the last commit", pool.Len(), len(cands))
+	}
+	for r, n := range hits {
+		if n == 0 {
+			t.Errorf("reader %d never hit a pooled transaction", r)
+		}
 	}
 }

@@ -28,7 +28,7 @@ func TestFeeRateTieBreakIsHexOrder(t *testing.T) {
 		// Every entry ties on fee rate; LockTime names the entry in the
 		// template's decodes.
 		raw := (&txmodel.EBVTx{Tidy: txmodel.TidyTx{LockTime: uint32(i)}}).Encode(nil)
-		e := &entry{raw: raw, id: ids[i], feeRate: 1}
+		e := &entry{raw: raw, id: ids[i], fee: uint64(len(raw))} // fee rate 1
 		p.entries[ids[i]] = e
 		h = append(h, e)
 	}

@@ -531,8 +531,8 @@ func (n *Node) handleMessage(p *peer, m *wire.Message) error {
 
 	case wire.Tx:
 		// Transaction submission. The intake stage runs here on the
-		// reader goroutine — parallel across connections, lock-free —
-		// and the verdict callback fires either synchronously (intake
+		// reader goroutine — parallel across connections, sharing the
+		// pool's read lock — and the verdict callback fires either synchronously (intake
 		// rejection) or from the admission collector after the batch
 		// commits. Either way p.send only appends the ack to the peer's
 		// out-queue: the collector never waits on a socket, the peer's

@@ -57,17 +57,22 @@ func NewReconstructor(c *Compact, salt uint64, src TxSource) *Reconstructor {
 		prefilled[int(c.Prefill[i].Index)] = c.Prefill[i].Raw
 	}
 
-	// Salted view of the pool. A nil value marks an ambiguous short id
-	// (two pooled leaves collide under this salt).
-	byShort := make(map[uint64]*hashx.Hash)
-	for _, leaf := range src.LeafHashes() {
-		leaf := leaf
+	// Salted view of the pool, leaves held by value. A short id two
+	// pooled leaves collide on under this salt is ambiguous: it is
+	// recorded in ambiguous and its byShort value means nothing.
+	leaves := src.LeafHashes()
+	byShort := make(map[uint64]hashx.Hash, len(leaves))
+	var ambiguous map[uint64]bool
+	for _, leaf := range leaves {
 		id := ShortID(salt, leaf)
 		if _, dup := byShort[id]; dup {
-			byShort[id] = nil
+			if ambiguous == nil {
+				ambiguous = make(map[uint64]bool)
+			}
+			ambiguous[id] = true
 			continue
 		}
-		byShort[id] = &leaf
+		byShort[id] = leaf
 	}
 
 	short := c.ShortIDs
@@ -83,10 +88,10 @@ func NewReconstructor(c *Compact, salt uint64, src TxSource) *Reconstructor {
 		id := short[0]
 		short = short[1:]
 		leaf, ok := byShort[id]
-		if !ok || leaf == nil {
+		if !ok || ambiguous[id] {
 			continue // unknown or ambiguous: request this slot
 		}
-		pooled, ok := src.LookupByLeaf(*leaf)
+		pooled, ok := src.LookupByLeaf(leaf)
 		if !ok {
 			continue // evicted since the snapshot
 		}

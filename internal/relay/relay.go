@@ -136,7 +136,9 @@ func DecodeCompact(data []byte) (*Compact, error) {
 	c := &Compact{Header: hdr}
 	off := blockmodel.HeaderSize
 	count, n := varint.Uvarint(data[off:])
-	if n <= 0 || count == 0 || count > maxBlockTxs {
+	// Every slot's stake position takes at least one byte, so a count
+	// beyond the bytes left is malformed before anything is allocated.
+	if n <= 0 || count == 0 || count > maxBlockTxs || count > uint64(len(data)-off-n) {
 		return nil, fmt.Errorf("relay: bad compact tx count")
 	}
 	off += n
@@ -196,7 +198,8 @@ func EncodeIndexes(dst []byte, idx []int) []byte {
 // DecodeIndexes parses a getblocktxn body.
 func DecodeIndexes(data []byte) ([]int, error) {
 	count, n := varint.Uvarint(data)
-	if n <= 0 || count > maxBlockTxs {
+	// Every index takes at least one byte.
+	if n <= 0 || count > maxBlockTxs || count > uint64(len(data)-n) {
 		return nil, fmt.Errorf("relay: bad index count")
 	}
 	off := n
@@ -234,7 +237,8 @@ func EncodeTxns(dst []byte, txs [][]byte) []byte {
 // DecodeTxns parses a blocktxn body.
 func DecodeTxns(data []byte) ([][]byte, error) {
 	count, n := varint.Uvarint(data)
-	if n <= 0 || count > maxBlockTxs {
+	// Every transaction takes at least two bytes: a length and a byte.
+	if n <= 0 || count > maxBlockTxs || count > uint64(len(data)-n)/2 {
 		return nil, fmt.Errorf("relay: bad blocktxn count")
 	}
 	off := n

@@ -2,7 +2,9 @@ package relay
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"ebv/internal/blockmodel"
@@ -216,6 +218,32 @@ func TestTxnCodec(t *testing.T) {
 	}
 	if _, err := DecodeTxns([]byte{1, 5, 'x'}); err == nil {
 		t.Fatal("truncated txn must not parse")
+	}
+}
+
+// TestCodecCountBoundedByInput: a body that claims the largest
+// element count and carries no elements is refused before the decoder
+// allocates room for the count — a few bytes from a peer must not buy
+// megabytes of heap.
+func TestCodecCountBoundedByInput(t *testing.T) {
+	count := binary.AppendUvarint(nil, maxBlockTxs)
+	compact := append(make([]byte, blockmodel.HeaderSize), count...)
+	decoders := map[string]func() error{
+		"compact":     func() error { _, err := DecodeCompact(compact); return err },
+		"getblocktxn": func() error { _, err := DecodeIndexes(count); return err },
+		"blocktxn":    func() error { _, err := DecodeTxns(count); return err },
+	}
+	for name, decode := range decoders {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a count with no elements decoded", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 4<<10 {
+			t.Errorf("%s: refusing an empty body that claims %d elements allocated %d B", name, maxBlockTxs, n)
+		}
 	}
 }
 
