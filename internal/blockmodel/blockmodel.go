@@ -201,7 +201,10 @@ func DecodeClassicBlock(data []byte) (*ClassicBlock, error) {
 	b := &ClassicBlock{Header: h}
 	off := headerSize
 	n, used := varint.Uvarint(data[off:])
-	if used <= 0 || n > 1<<20 {
+	// Every transaction takes its length prefix and at least its
+	// smallest encoding, so a count beyond the bytes left is malformed
+	// before anything is allocated.
+	if used <= 0 || n > 1<<20 || n > uint64(len(data)-off-used)/(1+txmodel.MinTxBytes) {
 		return nil, fmt.Errorf("blockmodel: bad tx count")
 	}
 	off += used
@@ -320,7 +323,7 @@ func DecodeEBVBlockInto(b *EBVBlock, data []byte, a *txmodel.Arena) error {
 	b.Header = h
 	off := headerSize
 	n, used := varint.Uvarint(data[off:])
-	if used <= 0 || n > 1<<20 {
+	if used <= 0 || n > 1<<20 || n > uint64(len(data)-off-used)/(1+txmodel.MinEBVTxBytes) {
 		return fmt.Errorf("blockmodel: bad tx count")
 	}
 	off += used

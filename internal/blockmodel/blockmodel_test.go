@@ -1,6 +1,8 @@
 package blockmodel
 
 import (
+	"encoding/binary"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -306,5 +308,30 @@ func TestAssembleEBVRejectsTooManyOutputs(t *testing.T) {
 	}
 	if _, err := AssembleEBV(hashx.ZeroHash, 1, 0, txs); err == nil {
 		t.Fatal("output cap must be enforced")
+	}
+}
+
+// TestTxCountBoundedByInput: a block body that claims the largest
+// transaction count and carries none is refused before the decoder
+// allocates room for the count.
+func TestTxCountBoundedByInput(t *testing.T) {
+	body := binary.AppendUvarint(make([]byte, HeaderSize), 1<<20)
+	arena := &txmodel.Arena{}
+	cases := map[string]func() error{
+		"classic":      func() error { _, err := DecodeClassicBlock(body); return err },
+		"ebv":          func() error { _, err := DecodeEBVBlock(body); return err },
+		"ebv borrowed": func() error { var b EBVBlock; return DecodeEBVBlockInto(&b, body, arena) },
+	}
+	for name, decode := range cases {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a count with no transactions decoded", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("%s: refusing a %d-byte body that claims 2^20 transactions allocated %d B", name, len(body), n)
+		}
 	}
 }

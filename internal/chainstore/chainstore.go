@@ -6,6 +6,16 @@
 // scan. Headers stay in memory — both the baseline and the EBV node
 // keep all headers resident (EBV's Existence Validation does a header
 // lookup per input, paper §IV-D1).
+//
+// Per height the store keeps only the header and the body's offset: a
+// body ends where the next one begins (the tip's at the end of the
+// data), so the length index.dat records is implied. The hash → height
+// index is a map from a 4-byte key of the block hash to the first
+// height holding that key, each hit confirmed against the stored
+// chain (a height's hash is the next header's PrevBlock), plus an
+// exact map for the rare heights whose key another height already
+// holds: about 136 bytes a height in all, against 208 for a full-hash
+// map beside a lengths array.
 package chainstore
 
 import (
@@ -44,14 +54,32 @@ type Store struct {
 	data    *os.File
 	index   *os.File
 	headers []blockmodel.Header
-	offsets []int64
-	lengths []int64
-	byHash  map[hashx.Hash]uint64 // block hash -> height, for fork-point search
+	offsets []int64 // body start in blocks.dat; the body ends at the next offset (dataEnd for the tip)
 	dataEnd int64
+
+	// Block hash -> height, for fork-point search: byKey maps key(hash)
+	// to the first height with that key, collide (made on first use)
+	// holds every later height whose key was already taken.
+	byKey   map[uint32]uint32
+	collide map[hashx.Hash]uint64
+	key     func(hashx.Hash) uint32
+}
+
+// hashKey is the index key of a block hash: its last four bytes.
+// Proof of work zeroes a hash's leading bytes, never its trailing
+// ones.
+func hashKey(h hashx.Hash) uint32 {
+	return binary.LittleEndian.Uint32(h[hashx.Size-4:])
 }
 
 // Open creates or reopens a store in dir.
 func Open(dir string) (*Store, error) {
+	return open(dir, hashKey)
+}
+
+// open is Open with the hash-index key function as a parameter, so
+// tests can force key collisions.
+func open(dir string, key func(hashx.Hash) uint32) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("chainstore: %w", err)
 	}
@@ -64,7 +92,7 @@ func Open(dir string) (*Store, error) {
 		data.Close()
 		return nil, fmt.Errorf("chainstore: %w", err)
 	}
-	s := &Store{data: data, index: index, byHash: make(map[hashx.Hash]uint64)}
+	s := &Store{data: data, index: index, byKey: make(map[uint32]uint32), key: key}
 	if err := s.loadIndex(); err != nil {
 		data.Close()
 		index.Close()
@@ -82,7 +110,10 @@ func (s *Store) loadIndex() error {
 	if st.Size()%indexRecordSize != 0 {
 		return fmt.Errorf("chainstore: index size %d not a record multiple", st.Size())
 	}
+	s.headers = make([]blockmodel.Header, 0, n)
+	s.offsets = make([]int64, 0, n)
 	buf := make([]byte, indexRecordSize)
+	prev := hashx.ZeroHash
 	for i := int64(0); i < n; i++ {
 		if _, err := s.index.ReadAt(buf, i*indexRecordSize); err != nil {
 			return fmt.Errorf("chainstore: read index %d: %w", i, err)
@@ -94,15 +125,65 @@ func (s *Store) loadIndex() error {
 		if h.Height != uint64(i) {
 			return fmt.Errorf("chainstore: index %d holds height %d", i, h.Height)
 		}
+		// Append and AppendHeader write only linked, contiguous records;
+		// the hash index and the implied body lengths rely on both.
+		if i > 0 && h.PrevBlock != prev {
+			return fmt.Errorf("chainstore: index %d does not link to %d", i, i-1)
+		}
+		off := int64(binary.LittleEndian.Uint64(buf[96:]))
+		if i > 0 && off != s.dataEnd {
+			return fmt.Errorf("chainstore: index %d body at offset %d, previous ends at %d", i, off, s.dataEnd)
+		}
+		prev = h.Hash()
 		s.headers = append(s.headers, h)
-		s.offsets = append(s.offsets, int64(binary.LittleEndian.Uint64(buf[96:])))
-		s.lengths = append(s.lengths, int64(binary.LittleEndian.Uint64(buf[104:])))
-		s.byHash[h.Hash()] = h.Height
-	}
-	if n > 0 {
-		s.dataEnd = s.offsets[n-1] + s.lengths[n-1]
+		s.offsets = append(s.offsets, off)
+		s.indexHash(prev, h.Height)
+		s.dataEnd = off + int64(binary.LittleEndian.Uint64(buf[104:]))
 	}
 	return nil
+}
+
+// indexHash adds height h, whose block hash is hash, to the hash index.
+// Caller holds mu for writing.
+func (s *Store) indexHash(hash hashx.Hash, h uint64) {
+	k := s.key(hash)
+	if _, taken := s.byKey[k]; !taken {
+		s.byKey[k] = uint32(h)
+		return
+	}
+	if s.collide == nil {
+		s.collide = make(map[hashx.Hash]uint64)
+	}
+	s.collide[hash] = h
+}
+
+// hashAt returns the block hash of height h < Count(): the next
+// header's PrevBlock, or the tip header's own hash. Caller holds mu.
+func (s *Store) hashAt(h uint64) hashx.Hash {
+	if h+1 < uint64(len(s.headers)) {
+		return s.headers[h+1].PrevBlock
+	}
+	return s.headers[h].Hash()
+}
+
+// heightOf resolves a block hash through the hash index. Caller holds
+// mu.
+func (s *Store) heightOf(hash hashx.Hash) (uint64, bool) {
+	if h, ok := s.byKey[s.key(hash)]; ok && s.hashAt(uint64(h)) == hash {
+		return uint64(h), true
+	}
+	h, ok := s.collide[hash]
+	return h, ok
+}
+
+// bodyLen returns the stored body length of height h < Count() (0 for
+// a header-only record). Caller holds mu.
+func (s *Store) bodyLen(h uint64) int64 {
+	end := s.dataEnd
+	if h+1 < uint64(len(s.offsets)) {
+		end = s.offsets[h+1]
+	}
+	return end - s.offsets[h]
 }
 
 // Append stores a block's serialized bytes under the next height. The
@@ -132,8 +213,7 @@ func (s *Store) Append(header blockmodel.Header, blockBytes []byte) error {
 	}
 	s.headers = append(s.headers, header)
 	s.offsets = append(s.offsets, off)
-	s.lengths = append(s.lengths, int64(len(blockBytes)))
-	s.byHash[header.Hash()] = header.Height
+	s.indexHash(header.Hash(), header.Height)
 	s.dataEnd = off + int64(len(blockBytes))
 	return nil
 }
@@ -163,8 +243,7 @@ func (s *Store) AppendHeader(header blockmodel.Header) error {
 	}
 	s.headers = append(s.headers, header)
 	s.offsets = append(s.offsets, s.dataEnd)
-	s.lengths = append(s.lengths, 0)
-	s.byHash[header.Hash()] = header.Height
+	s.indexHash(header.Hash(), header.Height)
 	return nil
 }
 
@@ -173,7 +252,7 @@ func (s *Store) AppendHeader(header blockmodel.Header) error {
 func (s *Store) HasBody(height uint64) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return height < uint64(len(s.headers)) && s.lengths[height] > 0
+	return height < uint64(len(s.headers)) && s.bodyLen(height) > 0
 }
 
 // BlockBytes returns the serialized block at height.
@@ -183,10 +262,11 @@ func (s *Store) BlockBytes(height uint64) ([]byte, error) {
 	if height >= uint64(len(s.headers)) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownHeight, height)
 	}
-	if s.lengths[height] == 0 {
+	n := s.bodyLen(height)
+	if n == 0 {
 		return nil, fmt.Errorf("%w: height %d (fast-synced header)", ErrNoBody, height)
 	}
-	buf := make([]byte, s.lengths[height])
+	buf := make([]byte, n)
 	if _, err := s.data.ReadAt(buf, s.offsets[height]); err != nil && err != io.EOF {
 		return nil, fmt.Errorf("chainstore: %w", err)
 	}
@@ -232,13 +312,6 @@ func (s *Store) Count() int {
 	return len(s.headers)
 }
 
-// HeaderMemUsage approximates the resident size of the header index.
-func (s *Store) HeaderMemUsage() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return int64(len(s.headers)) * indexRecordSize
-}
-
 // Close releases the underlying files.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -266,25 +339,30 @@ func (s *Store) Truncate(count int) error {
 	if count == len(s.headers) {
 		return nil
 	}
-	if count > 0 && s.lengths[count-1] == 0 {
+	if count > 0 && s.bodyLen(uint64(count-1)) == 0 {
 		return fmt.Errorf("%w: height %d has no stored body", ErrTruncateNoBody, count-1)
 	}
-	if count == 0 && s.lengths[0] == 0 {
+	if count == 0 && s.bodyLen(0) == 0 {
 		return fmt.Errorf("%w: height 0 has no stored body", ErrTruncateNoBody)
 	}
 	if err := s.index.Truncate(int64(count) * indexRecordSize); err != nil {
 		return fmt.Errorf("chainstore: %w", err)
 	}
-	for _, h := range s.headers[count:] {
-		delete(s.byHash, h.Hash())
+	for h := len(s.headers) - 1; h >= count; h-- {
+		hash := s.hashAt(uint64(h))
+		k := s.key(hash)
+		if v, ok := s.byKey[k]; ok && v == uint32(h) {
+			delete(s.byKey, k)
+		} else {
+			delete(s.collide, hash)
+		}
+	}
+	s.dataEnd = 0
+	if count > 0 {
+		s.dataEnd = s.offsets[count]
 	}
 	s.headers = s.headers[:count]
 	s.offsets = s.offsets[:count]
-	s.lengths = s.lengths[:count]
-	s.dataEnd = 0
-	if count > 0 {
-		s.dataEnd = s.offsets[count-1] + s.lengths[count-1]
-	}
 	return nil
 }
 
@@ -293,8 +371,7 @@ func (s *Store) Truncate(count int) error {
 func (s *Store) HeightByHash(h hashx.Hash) (uint64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	height, ok := s.byHash[h]
-	return height, ok
+	return s.heightOf(h)
 }
 
 // Locator returns a block locator for the stored chain: the tip hash,
@@ -337,7 +414,7 @@ func (s *Store) LocatorFork(loc []hashx.Hash) (uint64, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for _, h := range loc {
-		if height, ok := s.byHash[h]; ok {
+		if height, ok := s.heightOf(h); ok {
 			return height, true
 		}
 	}

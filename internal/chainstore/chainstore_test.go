@@ -131,9 +131,6 @@ func TestEmptyStore(t *testing.T) {
 	if s.TipHash() != hashx.ZeroHash {
 		t.Fatal("empty tip hash must be zero (genesis prev)")
 	}
-	if s.HeaderMemUsage() != 0 {
-		t.Fatal("empty store must report zero header memory")
-	}
 }
 
 func BenchmarkHeaderLookup(b *testing.B) {

@@ -21,7 +21,6 @@ package forkchoice
 import (
 	"errors"
 	"fmt"
-	"math/big"
 	"sync"
 
 	"ebv/internal/blockmodel"
@@ -163,7 +162,7 @@ const maxInvalid = 4096
 // plus the cumulative work of the branch through it.
 type entry struct {
 	header blockmodel.Header
-	work   *big.Int
+	work   work
 }
 
 // Engine is the fork-choice engine. Safe for concurrent use; all
@@ -179,9 +178,11 @@ type Engine struct {
 	store   *sideStore
 
 	// Cumulative-work prefix over the active chain: prefix[h] is the
-	// work through height h. tipHash detects external chain changes
-	// (e.g. an IBD that bypassed the engine) and triggers a rebuild.
-	prefix  []*big.Int
+	// work through height h, 40 bytes a height in one pointer-free
+	// array that a rebuild refills in place. tipHash detects external
+	// chain changes (e.g. an IBD that bypassed the engine) and triggers
+	// a rebuild.
+	prefix  []work
 	tipHash hashx.Hash
 
 	stats Stats
@@ -274,11 +275,11 @@ func (e *Engine) processLocked(raw []byte, peer string) (Verdict, error) {
 
 	// Resolve the parent: active chain, side index, or a competing
 	// genesis (whose parent is the zero hash by definition).
-	var parentWork *big.Int
-	parentHeight := int64(-2)
+	var parentWork work
+	parentHeight := int64(-2) // -2: parent unknown
 	switch {
 	case hdr.Height == 0 && hdr.PrevBlock == hashx.ZeroHash:
-		parentWork, parentHeight = new(big.Int), -1
+		parentHeight = -1
 	default:
 		if ph, ok := e.chain.HeightByHash(hdr.PrevBlock); ok && ph < uint64(len(e.prefix)) {
 			parentWork, parentHeight = e.prefix[ph], int64(ph)
@@ -286,7 +287,7 @@ func (e *Engine) processLocked(raw []byte, peer string) (Verdict, error) {
 			parentWork, parentHeight = pe.work, int64(pe.header.Height)
 		}
 	}
-	if parentWork == nil {
+	if parentHeight == -2 {
 		stored, evicted := e.store.add(&sideItem{hash: hash, header: hdr, raw: raw, peer: peer, orphan: true})
 		e.pruneIndexLocked(evicted)
 		if !stored {
@@ -300,18 +301,18 @@ func (e *Engine) processLocked(raw []byte, peer string) (Verdict, error) {
 			hash.Short(), hdr.Height, parentHeight)
 	}
 
-	work := new(big.Int).Add(parentWork, workOf(hdr.Bits))
+	w := parentWork.add(workOf(hdr.Bits))
 	stored, evicted := e.store.add(&sideItem{hash: hash, header: hdr, raw: raw, peer: peer})
 	e.pruneIndexLocked(evicted)
 	if !stored {
 		e.logf("forkchoice: side block %s dropped (store full)", hash.Short())
 		return SideStored, nil
 	}
-	e.index[hash] = &entry{header: hdr, work: work}
+	e.index[hash] = &entry{header: hdr, work: w}
 
 	// Strictly more work than the active tip triggers the switch;
 	// equal work keeps the first-seen branch.
-	if work.Cmp(e.tipWorkLocked()) > 0 {
+	if w.cmp(e.tipWorkLocked()) > 0 {
 		if err := e.reorgLocked(hash); err != nil {
 			return Rejected, err
 		}
@@ -371,10 +372,6 @@ func (e *Engine) reorgLocked(target hashx.Hash) error {
 		}
 	}
 
-	// Old-branch work values, captured before the prefix is rebuilt,
-	// so the losing blocks can be re-indexed as a side branch.
-	oldPrefix := e.prefix
-
 	// Disconnect the current branch tip-down, keeping the raw bytes
 	// for rollback and re-indexing.
 	var detached [][]byte // detached[0] is the old tip
@@ -427,6 +424,8 @@ func (e *Engine) reorgLocked(target hashx.Hash) error {
 		e.store.remove(it.hash)
 		delete(e.index, it.hash)
 	}
+	// e.prefix still holds the old branch's work: the losing blocks
+	// copy their values out before the rebuild below refills the array.
 	for i, raw := range detached {
 		h := uint64(tipHeight - int64(i))
 		hdr, err := blockmodel.DecodeHeader(raw[:blockmodel.HeaderSize])
@@ -436,7 +435,7 @@ func (e *Engine) reorgLocked(target hashx.Hash) error {
 		hash := hdr.Hash()
 		if stored, evicted := e.store.add(&sideItem{hash: hash, header: hdr, raw: raw}); stored {
 			e.pruneIndexLocked(evicted)
-			e.index[hash] = &entry{header: hdr, work: oldPrefix[h]}
+			e.index[hash] = &entry{header: hdr, work: e.prefix[h]}
 		} else {
 			e.pruneIndexLocked(evicted)
 		}
@@ -542,38 +541,30 @@ func (e *Engine) rebuildPrefixLocked() {
 	if !ok {
 		return
 	}
-	acc := new(big.Int)
+	if n := tip + 1; uint64(cap(e.prefix)) < n {
+		e.prefix = make([]work, 0, n)
+	}
+	var acc work
 	for h := uint64(0); h <= tip; h++ {
 		hdr, ok := e.chain.Header(h)
 		if !ok {
 			break
 		}
-		acc = new(big.Int).Add(acc, workOf(hdr.Bits))
+		acc = acc.add(workOf(hdr.Bits))
 		e.prefix = append(e.prefix, acc)
 	}
 }
 
 func (e *Engine) extendPrefixLocked(hdr blockmodel.Header, hash hashx.Hash) {
-	work := workOf(hdr.Bits)
-	if len(e.prefix) > 0 {
-		work = new(big.Int).Add(e.prefix[len(e.prefix)-1], work)
-	}
-	e.prefix = append(e.prefix, work)
+	e.prefix = append(e.prefix, e.tipWorkLocked().add(workOf(hdr.Bits)))
 	e.tipHash = hash
 }
 
-func (e *Engine) tipWorkLocked() *big.Int {
+func (e *Engine) tipWorkLocked() work {
 	if len(e.prefix) == 0 {
-		return new(big.Int)
+		return work{}
 	}
 	return e.prefix[len(e.prefix)-1]
-}
-
-// workOf is the expected work of one block: 2^Bits hash trials for
-// Bits leading zero bits (Bits 0, PoW off, counts one unit so fork
-// choice degrades to longest-chain).
-func workOf(bits uint32) *big.Int {
-	return new(big.Int).Lsh(big.NewInt(1), uint(bits))
 }
 
 // --- accessors for the gossip layer ---
@@ -585,7 +576,7 @@ func (e *Engine) TipWork() []byte {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.refreshLocked()
-	return e.tipWorkLocked().Bytes()
+	return e.tipWorkLocked().bytes()
 }
 
 // Knows reports whether the engine has already seen this block in any

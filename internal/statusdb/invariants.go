@@ -15,7 +15,10 @@ import (
 //   - no height exceeds the tip (an empty set holds no vectors at
 //     all);
 //   - the memBytes/dense/ones counters equal the sums recomputed from
-//     the vectors, and the aggregate getters report them.
+//     the vectors, and the aggregate getters report them;
+//   - the encoding bytes allocated since the last re-pack, a bound on
+//     the slab storage the set keeps reachable, are at most twice the
+//     live encoded bytes.
 //
 // It takes the commit mutex, so it sees a quiescent state even while
 // readers run; use it after every operation in soak tests and as a
@@ -54,6 +57,9 @@ func (d *DB) CheckInvariants() error {
 		return fmt.Errorf("statusdb: invariant: dense %d, recomputed %d", d.dense, dense)
 	case ones != d.ones:
 		return fmt.Errorf("statusdb: invariant: ones %d, recomputed %d", d.ones, ones)
+	}
+	if live := mem - vectorOverhead*int64(len(d.vectors)); d.slabBytes > 2*live {
+		return fmt.Errorf("statusdb: invariant: %d slab bytes retained for %d live encoded bytes", d.slabBytes, live)
 	}
 	if got := d.MemUsage(); got != mem {
 		return fmt.Errorf("statusdb: invariant: MemUsage %d, recomputed %d", got, mem)

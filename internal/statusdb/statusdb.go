@@ -29,17 +29,28 @@
 // allocated encoding, so a snapshot's shallow copies stay stable after
 // the lock is released. A commit preserves this by packing all of a
 // block's replacement encodings into one freshly allocated slab and
-// installing non-overlapping sub-slices of it; the trade-off is that a
-// replaced sub-slice keeps its slab reachable until every encoding
-// from that commit has itself been replaced.
+// installing non-overlapping sub-slices of it. A slab stays reachable
+// while any encoding in it is live, so a block's new vector can pin
+// the re-encodings its commit replaced long ago. The set therefore
+// counts the encoding bytes it has allocated since its last re-pack, a
+// bound on what it can keep reachable; once a commit would take that
+// count past twice the live encoded bytes, the commit's one slab is
+// sized for the whole set and every other live encoding is copied into
+// it as the commit installs. Go maps never release buckets either, so
+// once the live vectors fall to a quarter of the count the map grew
+// for, the vectors move into a right-sized map. Neither changes what
+// MemUsage reports: that is the sum of the encodings plus a fixed
+// per-vector charge, not the heap the set happens to hold.
 package statusdb
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -63,6 +74,10 @@ var (
 // header, height key) charged to MemUsage.
 const vectorOverhead = 32
 
+// shrinkMinPeak is the smallest map peak worth shrinking from: a map
+// that never held more vectors than this takes a few kilobytes.
+const shrinkMinPeak = 64
+
 // Spend identifies one output consumed by a new block.
 type Spend struct {
 	Height uint64
@@ -81,6 +96,14 @@ type DB struct {
 
 	// cs is Connect's reusable staging state; guarded by commitMu.
 	cs commitScratch
+
+	// Heap bounds, guarded by commitMu. peak is the vector count the
+	// map has grown to since it was last made. slabBytes counts the
+	// encoding bytes allocated since the last re-pack (the re-pack's own
+	// slab included), a bound on the encoding storage the set keeps
+	// reachable.
+	peak      int
+	slabBytes int64
 
 	// mu guards the set: a writer takes it exclusively only to
 	// install a staged commit; readers take it shared.
@@ -136,12 +159,14 @@ func putVec(v *bitvec.Vector) { vecPool.Put(v) }
 // accounting deltas its installation adds. Connect stages the mutated
 // vector itself (v, with its known encoded size) and defers
 // serialization to a single encode pass between staging and install;
-// Disconnect stages final encodings directly.
+// Disconnect stages final encodings directly. size is the new
+// encoding's length (0 for a delete) and oldSize the replaced one's
+// (0 when the height held none).
 type stagedEntry struct {
 	h                uint64
 	enc              []byte
 	v                *bitvec.Vector
-	size             int
+	size, oldSize    int
 	mem, dense, ones int64
 }
 
@@ -183,8 +208,12 @@ func sortedKeys[V any](m map[uint64]V) []uint64 {
 // install applies staged entries and moves the tip under one write
 // lock. Installation is pure writes and cannot fail; together with
 // staging never mutating, this is the two-phase structure behind the
-// all-or-nothing commit. Caller holds commitMu.
-func (d *DB) install(staged []stagedEntry, tip uint64, hasTip bool) {
+// all-or-nothing commit. A non-nil repack has room for every live
+// encoding staged does not replace: each is copied into it and
+// re-pointed there, which releases the slabs they pinned. staged must
+// be ascending by height. After the install the map shrinks if the
+// vectors fell to a quarter of its peak. Caller holds commitMu.
+func (d *DB) install(staged []stagedEntry, tip uint64, hasTip bool, repack []byte) {
 	d.mu.Lock()
 	for _, e := range staged {
 		if e.enc == nil {
@@ -196,8 +225,66 @@ func (d *DB) install(staged []stagedEntry, tip uint64, hasTip bool) {
 		d.dense += e.dense
 		d.ones += e.ones
 	}
+	if repack != nil {
+		for h, enc := range d.vectors {
+			if _, ok := slices.BinarySearchFunc(staged, h, stagedAt); ok {
+				continue
+			}
+			off := len(repack)
+			repack = append(repack, enc...)
+			d.vectors[h] = repack[off:len(repack):len(repack)]
+		}
+	}
 	d.tip, d.hasTip = tip, hasTip
 	d.mu.Unlock()
+	d.shrinkMap()
+}
+
+// stagedAt orders a staged entry against a height, for binary search.
+func stagedAt(e stagedEntry, h uint64) int { return cmp.Compare(e.h, h) }
+
+// planRepack returns the bytes the staged encodings take (fresh) and
+// the live encoded bytes the set holds once they are installed, and
+// accounts the commit's allocation. It reports repack when the bytes
+// allocated since the last re-pack would exceed twice the live ones:
+// the commit then stores the whole set in new storage, and the count
+// restarts at live. Caller holds commitMu.
+func (d *DB) planRepack(staged []stagedEntry) (fresh, live int64, repack bool) {
+	live = d.memBytes - vectorOverhead*int64(len(d.vectors))
+	for i := range staged {
+		fresh += int64(staged[i].size)
+		live += int64(staged[i].size - staged[i].oldSize)
+	}
+	if d.slabBytes+fresh <= 2*live {
+		d.slabBytes += fresh
+		return fresh, live, false
+	}
+	d.slabBytes = live
+	return fresh, live, true
+}
+
+// shrinkMap moves the vectors into a right-sized map once they fall to
+// a quarter of the count the map grew for, and otherwise records a new
+// peak. The copy is built under commitMu alone (no writer can change
+// the map) and swapped in under a brief write lock. Caller holds
+// commitMu.
+func (d *DB) shrinkMap() {
+	n := len(d.vectors)
+	if n > d.peak {
+		d.peak = n
+		return
+	}
+	if d.peak < shrinkMinPeak || n > d.peak/4 {
+		return
+	}
+	m := make(map[uint64][]byte, n)
+	for h, enc := range d.vectors {
+		m[h] = enc
+	}
+	d.mu.Lock()
+	d.vectors = m
+	d.mu.Unlock()
+	d.peak = n
 }
 
 // Connect applies one block atomically: it registers the new block's
@@ -212,7 +299,9 @@ func (d *DB) install(staged []stagedEntry, tip uint64, hasTip bool) {
 // error staging meets is the one reported. Staged vectors are
 // serialized in one batched encode pass (one slab allocation for the
 // whole block) between validation and install, so the write lock is
-// taken once and held only for map and counter updates. A zero-output
+// taken once and held only for map and counter updates (and, on a
+// commit that re-packs, the copy of the live encodings into the same
+// slab; see the package comment). A zero-output
 // block stores no vector at all, so "absent = fully spent" holds for
 // it from birth; it still advances the tip.
 func (d *DB) Connect(height uint64, nOutputs int, spends []Spend) error {
@@ -270,25 +359,26 @@ func (d *DB) Connect(height uint64, nOutputs int, spends []Spend) error {
 		})
 	}
 
-	d.encodeStaged()
-	d.install(cs.staged, height, true)
+	fresh, live, repack := d.planRepack(cs.staged)
+	var slab []byte
+	if repack {
+		slab = d.encodeStaged(int(live)) // room for the whole set
+	} else {
+		d.encodeStaged(int(fresh))
+	}
+	d.install(cs.staged, height, true, slab)
 	d.releaseStaged()
 	return nil
 }
 
-// encodeStaged serializes every staged vector into one slab for the
-// whole block, installed as non-overlapping capacity-clamped
-// sub-slices (preserving the encoding-immutability contract). Vectors
-// return to the pool as they are encoded. Caller holds commitMu.
-func (d *DB) encodeStaged() {
+// encodeStaged serializes every staged vector into one slab of the
+// given capacity for the whole block, installed as non-overlapping
+// capacity-clamped sub-slices (preserving the encoding-immutability
+// contract), and returns the slab. Vectors return to the pool as they
+// are encoded. Caller holds commitMu.
+func (d *DB) encodeStaged(capacity int) []byte {
 	staged := d.cs.staged
-	total := 0
-	for i := range staged {
-		if staged[i].v != nil {
-			total += staged[i].size
-		}
-	}
-	slab := make([]byte, 0, total)
+	slab := make([]byte, 0, capacity)
 	for i := range staged {
 		e := &staged[i]
 		if e.v == nil {
@@ -300,6 +390,7 @@ func (d *DB) encodeStaged() {
 		putVec(e.v)
 		e.v = nil
 	}
+	return slab
 }
 
 // releaseStaged returns any still-staged vectors to the pool and drops
@@ -347,10 +438,11 @@ func (d *DB) stageSpends(g spendGroup) error {
 		}
 	}
 	se := stagedEntry{
-		h:     h,
-		mem:   -(int64(len(enc)) + vectorOverhead),
-		dense: -(int64(v.DenseSize()) + vectorOverhead),
-		ones:  -int64(g.hi - g.lo),
+		h:       h,
+		oldSize: len(enc),
+		mem:     -(int64(len(enc)) + vectorOverhead),
+		dense:   -(int64(v.DenseSize()) + vectorOverhead),
+		ones:    -int64(g.hi - g.lo),
 	}
 	if v.AllZero() {
 		putVec(v)
@@ -614,6 +706,8 @@ func (d *DB) replace(b *setBuilder, tip uint64, hasTip bool) {
 	d.memBytes, d.dense, d.ones = b.mem, b.dense, b.ones
 	d.tip, d.hasTip = tip, hasTip
 	d.mu.Unlock()
+	d.peak = len(b.vectors)
+	d.slabBytes = b.mem - vectorOverhead*int64(len(b.vectors))
 }
 
 // Restore identifies one output whose spent bit must be re-set while
@@ -667,10 +761,14 @@ func (d *DB) Disconnect(height uint64, restores []Restore) error {
 		staged = append(staged, *tipEntry)
 	}
 
+	var repack []byte
+	if fresh, live, due := d.planRepack(staged); due {
+		repack = make([]byte, 0, live-fresh)
+	}
 	if height == 0 {
-		d.install(staged, 0, false)
+		d.install(staged, 0, false, repack)
 	} else {
-		d.install(staged, height-1, true)
+		d.install(staged, height-1, true, repack)
 	}
 	return nil
 }
@@ -708,7 +806,7 @@ func (d *DB) stageRestores(h uint64, rs []Restore) (stagedEntry, error) {
 		}
 		v.Set(int(r.Pos))
 	}
-	se := stagedEntry{h: h, ones: int64(len(rs))}
+	se := stagedEntry{h: h, oldSize: oldLen, ones: int64(len(rs))}
 	if hadOld {
 		// Setting bits never changes the length, so the dense size of
 		// the old encoding equals the staged vector's — no second
@@ -718,7 +816,7 @@ func (d *DB) stageRestores(h uint64, rs []Restore) (stagedEntry, error) {
 		se.dense -= int64(v.DenseSize()) + vectorOverhead
 	}
 	ne := d.encode(v)
-	se.enc = ne
+	se.enc, se.size = ne, len(ne)
 	se.mem += int64(len(ne)) + vectorOverhead
 	se.dense += int64(v.DenseSize()) + vectorOverhead
 	return se, nil
@@ -737,9 +835,10 @@ func (d *DB) stageTipRemoval(height uint64) (*stagedEntry, error) {
 		return nil, fmt.Errorf("statusdb: corrupt tip vector: %v", err)
 	}
 	return &stagedEntry{
-		h:     height,
-		mem:   -(int64(len(enc)) + vectorOverhead),
-		dense: -(int64(v.DenseSize()) + vectorOverhead),
-		ones:  -int64(v.Ones()),
+		h:       height,
+		oldSize: len(enc),
+		mem:     -(int64(len(enc)) + vectorOverhead),
+		dense:   -(int64(v.DenseSize()) + vectorOverhead),
+		ones:    -int64(v.Ones()),
 	}, nil
 }

@@ -141,9 +141,8 @@ func DecodeTx(data []byte) (*Tx, error) {
 func decodeTxFrom(r *reader) *Tx {
 	t := &Tx{}
 	t.Version = r.uint32v()
-	nin := r.uvarint()
-	if nin > MaxTxInputs {
-		r.fail("%d inputs exceeds limit", nin)
+	nin := r.count("inputs", MaxTxInputs, minTxInBytes)
+	if r.err != nil {
 		return t
 	}
 	t.Inputs = make([]TxIn, nin)
@@ -152,9 +151,8 @@ func decodeTxFrom(r *reader) *Tx {
 		t.Inputs[i].PrevOut.Index = r.uint32v()
 		t.Inputs[i].UnlockScript = r.varbytes(MaxScriptBytes)
 	}
-	nout := r.uvarint()
-	if nout > MaxTxOutputs {
-		r.fail("%d outputs exceeds limit", nout)
+	nout := r.count("outputs", MaxTxOutputs, minTxOutBytes)
+	if r.err != nil {
 		return t
 	}
 	t.Outputs = make([]TxOut, nout)

@@ -37,6 +37,24 @@ const (
 	CoinbaseMaturity = 100                      // blocks before a coinbase output may be spent
 )
 
+// Smallest encodings of the repeated elements, so a decoder refuses a
+// count the bytes left cannot hold before it allocates room for it.
+const (
+	// A classic transaction: version, input count, output count and
+	// locktime varints; an EBV transaction: a tidy form of the same
+	// four plus the stake position, behind its length prefix, and a
+	// body count.
+	MinTxBytes    = 4
+	MinEBVTxBytes = 1 + 5 + 1
+
+	minTxInBytes  = hashx.Size + 2 // previous txid, index varint, script length
+	minTxOutBytes = 2              // value varint, script length
+	// A body behind its length prefix: branch index and sibling count,
+	// script length, the previous transaction's tidy form behind its
+	// length prefix, height and relative index.
+	minBodyBytes = 1 + 2 + 1 + (1 + 5) + 1 + 1
+)
+
 // ErrDecode wraps all deserialization failures.
 var ErrDecode = errors.New("txmodel: decode")
 
@@ -73,6 +91,25 @@ func (r *reader) uvarint() uint64 {
 	}
 	r.off += n
 	return v
+}
+
+// count reads an element count of at most max elements that take at
+// least minSize bytes each, and fails on a count the bytes left cannot
+// hold.
+func (r *reader) count(what string, max uint64, minSize int) int {
+	n := r.uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if n > max {
+		r.fail("%d %s exceeds limit", n, what)
+		return 0
+	}
+	if left := len(r.data) - r.off; n > uint64(left/minSize) {
+		r.fail("%d %s do not fit in %d bytes", n, what, left)
+		return 0
+	}
+	return int(n)
 }
 
 // uint32v reads a varint and range-checks it into uint32.

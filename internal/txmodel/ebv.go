@@ -83,21 +83,19 @@ func (t *TidyTx) Invalidate() { t.leafMemo.clear() }
 // storage comes from the reader (arena-backed in borrowed mode).
 func decodeTidyInto(t *TidyTx, r *reader) {
 	t.Version = r.uint32v()
-	nin := r.uvarint()
-	if nin > MaxTxInputs {
-		r.fail("%d input hashes exceeds limit", nin)
+	nin := r.count("input hashes", MaxTxInputs, hashx.Size)
+	if r.err != nil {
 		return
 	}
-	t.InputHashes = r.arena.AllocHashes(int(nin))
+	t.InputHashes = r.arena.AllocHashes(nin)
 	for i := range t.InputHashes {
 		t.InputHashes[i] = r.hash()
 	}
-	nout := r.uvarint()
-	if nout > MaxTxOutputs {
-		r.fail("%d outputs exceeds limit", nout)
+	nout := r.count("outputs", MaxTxOutputs, minTxOutBytes)
+	if r.err != nil {
 		return
 	}
-	t.Outputs = r.arena.AllocOuts(int(nout))
+	t.Outputs = r.arena.AllocOuts(nout)
 	for i := range t.Outputs {
 		t.Outputs[i] = decodeTxOut(r)
 	}
@@ -354,12 +352,11 @@ func decodeEBVTxInto(t *EBVTx, r *reader) {
 		r.fail("tidy: %v", err)
 		return
 	}
-	nb := r.uvarint()
-	if nb > MaxTxInputs {
-		r.fail("%d bodies exceeds limit", nb)
+	nb := r.count("bodies", MaxTxInputs, minBodyBytes)
+	if r.err != nil {
 		return
 	}
-	t.Bodies = r.arena.AllocBodies(int(nb))
+	t.Bodies = r.arena.AllocBodies(nb)
 	for i := range t.Bodies {
 		body := r.varbytes(maxBodyBytes)
 		if r.err != nil {

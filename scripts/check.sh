@@ -70,6 +70,14 @@ go test -race -count=5 -run 'TestVerifyBlock' ./internal/light
 # goroutines.
 go test -race -count=5 ./internal/mempool ./internal/relay ./internal/admission
 
+echo "== per-height index loop (reference models, -race) =="
+# The chain store's compact hash index answers like a full-hash map
+# over random append/truncate/reopen sequences with forced key
+# collisions, and fork choice's fixed-width work matches math/big,
+# also across a reorg and back.
+go test -race -count=5 -run 'TestHashIndexMatchesReference|TestWorkMatchesBigInt|TestReorgBackUsesOldBranchWork' \
+	./internal/chainstore ./internal/forkchoice
+
 echo "== verified-proof cache loop (reference LRU, -race) =="
 # The cache's index and LRU links are hand-managed slot arrays; pin
 # them to a container/list model and hammer them from many goroutines.
@@ -92,8 +100,14 @@ go test -run 'TestPoolHoldsWireBytes' ./internal/mempool/
 # that reuses an evicted slot, or on a steady Add+Remove cycle.
 go test -run 'TestFullCacheHeapBudget|TestNewIsLazy|TestSteadyStateZeroAllocs|TestAddRemoveSteadyStateZeroAllocs' ./internal/vcache/
 # The status database's warm commit allocates only its encode slab,
-# and a batch probe into a sized buffer nothing.
-go test -run 'TestWarmCommitAllocs' ./internal/statusdb/
+# and a batch probe into a sized buffer nothing; a set spent down to a
+# few survivors holds a right-sized map and at most twice their
+# encoded bytes.
+go test -run 'TestWarmCommitAllocs|TestSpentOutSetReleasesHeap' ./internal/statusdb/
+# Per height, the chain store holds at most 150 B after GC, and a
+# fork-choice work-prefix rebuild allocates at most its array.
+go test -run 'TestIndexHeapBudget' ./internal/chainstore/
+go test -run 'TestPrefixRebuildAllocs' ./internal/forkchoice/
 # Peer writers encode frames in place in their bufio.Writer.
 go test -run 'TestWriteFrameZeroAllocs' ./internal/p2p/wire/
 # -benchmem regression gate: the warm decode+connect cycle must stay
