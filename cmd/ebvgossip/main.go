@@ -83,8 +83,7 @@ func main() {
 	}
 
 	nodeCfg := node.Config{
-		Dir: *dataDir, Optimize: true,
-		ParallelValidation: *workers, VerifyCacheSize: *vcache,
+		Dir: *dataDir, ParallelValidation: *workers, VerifyCacheSize: *vcache,
 		PipelineDepth: *depth,
 	}
 	if *txSubmit {

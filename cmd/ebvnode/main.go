@@ -75,8 +75,7 @@ func main() {
 	switch *mode {
 	case "ebv":
 		cfg := node.Config{
-			Dir: *dataDir, Optimize: true,
-			ParallelValidation: *workers, PipelineDepth: *depth,
+			Dir: *dataDir, ParallelValidation: *workers, PipelineDepth: *depth,
 		}
 		if *fastsync != "" {
 			var peers []string

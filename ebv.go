@@ -13,7 +13,7 @@
 //
 //	gen := ebv.NewGenerator(ebv.TestWorkload(500))
 //	inter, _ := ebv.NewIntermediary(dir, gen.Resign)
-//	node, _ := ebv.NewEBVNode(ebv.NodeConfig{Dir: nodeDir, Optimize: true})
+//	node, _ := ebv.NewEBVNode(ebv.NodeConfig{Dir: nodeDir})
 //	for !gen.Done() {
 //		cb, _ := gen.NextBlock()
 //		eb, _ := inter.ProcessBlock(cb)
@@ -134,8 +134,8 @@ var OpenChainStore = chainstore.Open
 // behind NodeConfig instead.
 type StatusDB = statusdb.DB
 
-// NewStatusDB creates a bit-vector set (optimize = the paper's
-// sparse-vector encoding).
+// NewStatusDB creates an empty bit-vector set, stored in the paper's
+// sparse-optimized encoding.
 var NewStatusDB = statusdb.New
 
 // --- validators and nodes ---

@@ -27,7 +27,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer btc.Close()
-	evn, err := ebv.NewEBVNode(ebv.NodeConfig{Dir: tmp + "/ebv", Optimize: true})
+	evn, err := ebv.NewEBVNode(ebv.NodeConfig{Dir: tmp + "/ebv"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer inter.Close()
-	seedNode, err := ebv.NewEBVNode(ebv.NodeConfig{Dir: tmp + "/seed", Optimize: true})
+	seedNode, err := ebv.NewEBVNode(ebv.NodeConfig{Dir: tmp + "/seed"})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func main() {
 	var arrivalMu sync.Mutex
 	arrival := map[string]time.Time{}
 	mkNode := func(name, dir string) (*ebv.GossipNode, *ebv.EBVNode) {
-		n, err := ebv.NewEBVNode(ebv.NodeConfig{Dir: dir, Optimize: true})
+		n, err := ebv.NewEBVNode(ebv.NodeConfig{Dir: dir})
 		if err != nil {
 			log.Fatal(err)
 		}

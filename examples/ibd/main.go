@@ -76,7 +76,7 @@ func main() {
 	}
 
 	// EBV IBD.
-	evn, err := ebv.NewEBVNode(ebv.NodeConfig{Dir: tmp + "/ebv", Optimize: true})
+	evn, err := ebv.NewEBVNode(ebv.NodeConfig{Dir: tmp + "/ebv"})
 	if err != nil {
 		log.Fatal(err)
 	}

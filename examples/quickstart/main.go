@@ -46,7 +46,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer btc.Close()
-	evn, err := ebv.NewEBVNode(ebv.NodeConfig{Dir: tmp + "/ebv", Optimize: true})
+	evn, err := ebv.NewEBVNode(ebv.NodeConfig{Dir: tmp + "/ebv"})
 	if err != nil {
 		log.Fatal(err)
 	}

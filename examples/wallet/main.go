@@ -36,7 +36,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer inter.Close()
-	node, err := ebv.NewEBVNode(ebv.NodeConfig{Dir: tmp + "/node", Optimize: true})
+	node, err := ebv.NewEBVNode(ebv.NodeConfig{Dir: tmp + "/node"})
 	if err != nil {
 		log.Fatal(err)
 	}

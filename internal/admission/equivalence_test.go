@@ -39,7 +39,7 @@ func newEnv(t *testing.T, blocks int) *env {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.chain.Close() })
-	e.status = statusdb.New(true)
+	e.status = statusdb.New()
 	e.val = core.NewEBVValidator(e.status, script.NewEngine(e.gen.Scheme()), e.chain)
 	for !e.gen.Done() {
 		cb, err := e.gen.NextBlock()

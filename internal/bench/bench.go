@@ -270,14 +270,13 @@ func (e *Env) TempNodeDir() (string, error) {
 }
 
 // EBVNodeConfig is the node configuration every EBV-side experiment
-// uses: optimized vectors, the options' signature scheme, and — when
+// uses: the options' signature scheme and — when
 // Options.Workers / Options.PipelineDepth ask for them — the parallel
 // validation pipeline and the cross-block IBD pipeline. No experiment
 // admits transactions, so the node has no verified-proof cache.
 func (e *Env) EBVNodeConfig(dir string) node.Config {
 	return node.Config{
 		Dir:                dir,
-		Optimize:           true,
 		Scheme:             e.Opts.Scheme(),
 		ParallelValidation: e.Opts.Workers,
 		PipelineDepth:      e.Opts.PipelineDepth,

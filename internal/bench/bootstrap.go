@@ -179,7 +179,7 @@ func (e *Env) bootstrapOne(L int) (*bootstrapResult, error) {
 		return nil, err
 	}
 	defer fastChain.Close()
-	fastStatus := statusdb.New(true)
+	fastStatus := statusdb.New()
 	res, err := statesync.FastSync(fastChain, fastStatus, statesync.Config{
 		Peers: []string{addr},
 		Dir:   filepath.Join(fastDir, "statesync"),

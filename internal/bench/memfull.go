@@ -15,10 +15,12 @@ import (
 // is 9 bytes). The optimization's 42.6% saving in the paper comes from
 // paper-size blocks — thousands of outputs — whose old vectors drain
 // to a few percent unspent. This experiment replays a full-block-size
-// spend trace directly into two bit-vector sets (optimized and dense):
-// block heights are compressed 100:1 but every block carries the full
-// mainnet output/input counts from the activity model, and the spend
-// ratio matches mainnet's (~96% of outputs eventually spent).
+// spend trace directly into a bit-vector set and reads both of its
+// footprints: MemUsage (the optimized line) and DenseUsage (the same
+// vectors encoded densely, the no-opt line). Block heights are
+// compressed 100:1 but every block carries the full mainnet
+// output/input counts from the activity model, and the spend ratio
+// matches mainnet's (~96% of outputs eventually spent).
 //
 // The UTXO-set line is modeled from the same trace: live outputs times
 // the average serialized entry size measured on the validated chain.
@@ -44,8 +46,7 @@ func (e *Env) Fig14Full(w io.Writer) error {
 		entryBytes = float64(last.UTXOBytes) / float64(last.UTXOCount)
 	}
 
-	opt := statusdb.New(true)
-	dense := statusdb.New(false)
+	set := statusdb.New()
 	trace := newTraceGen(e.Opts.Seed, blocks)
 
 	nSamples := 26
@@ -56,28 +57,25 @@ func (e *Env) Fig14Full(w io.Writer) error {
 	t := newTable("quarter", "utxo-count", "bitcoin(model)", "ebv", "ebv-no-opt", "ebv-vs-bitcoin", "opt-saving")
 	for h := 0; h < blocks; h++ {
 		nOut, spends := trace.nextBlock(h)
-		if err := opt.Connect(uint64(h), nOut, spends); err != nil {
-			return fmt.Errorf("fig14full opt at %d: %v", h, err)
-		}
-		if err := dense.Connect(uint64(h), nOut, spends); err != nil {
-			return fmt.Errorf("fig14full dense at %d: %v", h, err)
+		if err := set.Connect(uint64(h), nOut, spends); err != nil {
+			return fmt.Errorf("fig14full at %d: %v", h, err)
 		}
 		if (h+1)%step == 0 || h == blocks-1 {
 			mh := uint64(h) * 650_000 / uint64(blocks-1)
-			live := opt.UnspentCount()
+			live := set.UnspentCount()
 			utxoModel := int64(float64(live) * entryBytes)
 			t.row(workload.QuarterLabel(mh), live, fmtBytes(utxoModel),
-				fmtBytes(opt.MemUsage()), fmtBytes(dense.MemUsage()),
-				reduction(float64(utxoModel), float64(opt.MemUsage())),
-				reduction(float64(dense.MemUsage()), float64(opt.MemUsage())))
+				fmtBytes(set.MemUsage()), fmtBytes(set.DenseUsage()),
+				reduction(float64(utxoModel), float64(set.MemUsage())),
+				reduction(float64(set.DenseUsage()), float64(set.MemUsage())))
 		}
 	}
 	t.write(w, "Fig 14 (full block size): memory requirement comparison")
 	fmt.Fprintf(w, "final: bitcoin(model) %s, ebv %s (%s reduction; paper: 93.1%%), no-opt %s (optimization saves %s; paper: 42.6%%)\n",
-		fmtBytes(int64(float64(opt.UnspentCount())*entryBytes)), fmtBytes(opt.MemUsage()),
-		reduction(float64(opt.UnspentCount())*entryBytes, float64(opt.MemUsage())),
-		fmtBytes(dense.MemUsage()),
-		reduction(float64(dense.MemUsage()), float64(opt.MemUsage())))
+		fmtBytes(int64(float64(set.UnspentCount())*entryBytes)), fmtBytes(set.MemUsage()),
+		reduction(float64(set.UnspentCount())*entryBytes, float64(set.MemUsage())),
+		fmtBytes(set.DenseUsage()),
+		reduction(float64(set.DenseUsage()), float64(set.MemUsage())))
 	return nil
 }
 

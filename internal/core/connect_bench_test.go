@@ -42,7 +42,7 @@ func benchConnectBlock(b *testing.B, workers int) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mh := &memHeaders{hdrs: make([]blockmodel.Header, 0, len(f.ebv))}
-		status := statusdb.New(true)
+		status := statusdb.New()
 		var opts []EBVOption
 		if workers > 1 {
 			opts = append(opts, WithParallelValidation(workers))

@@ -80,7 +80,7 @@ func newFixture(t testing.TB, blocks int) *fixture {
 
 	f.btcEngine = script.NewEngine(f.gen.Scheme())
 	f.btcVal = NewBitcoinValidator(f.utxo, f.btcEngine, f.btcChain)
-	f.status = statusdb.New(true)
+	f.status = statusdb.New()
 	f.ebvVal = NewEBVValidator(f.status, script.NewEngine(f.gen.Scheme()), f.ebvChain)
 
 	for i := 0; i < blocks-1; i++ {
@@ -588,7 +588,7 @@ func TestBreakdownAddAndTotal(t *testing.T) {
 func TestEBVRejectsGenesisAtWrongHeight(t *testing.T) {
 	f := newFixture(t, 150)
 	// A fresh validator (empty chain) must only accept height 0.
-	status := statusdb.New(true)
+	status := statusdb.New()
 	chain2, err := chainstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ func pipelineFixture(t *testing.T, f *fixture, workers int) (*EBVValidator, *sta
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { chain2.Close() })
-	status2 := statusdb.New(true)
+	status2 := statusdb.New()
 	v := NewEBVValidator(status2, script.NewEngine(f.gen.Scheme()), chain2, WithParallelValidation(workers))
 	for i := 0; i < len(f.ebv)-1; i++ {
 		if _, err := v.ConnectBlock(f.ebv[i]); err != nil {
@@ -372,7 +372,7 @@ func (s stubHeaders) TipHeight() (uint64, bool) { return s.tip, true }
 // when no BlockOutputsFunc can say how long the recreated vector is —
 // and succeed once one is installed.
 func TestDisconnectRequiresResolverForSpentVector(t *testing.T) {
-	status := statusdb.New(true)
+	status := statusdb.New()
 	if err := status.Connect(0, 1, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +425,7 @@ func TestDisconnectRequiresResolverForSpentVector(t *testing.T) {
 // path: while the spent-from vector is still live its own length is
 // authoritative and no resolver is required.
 func TestDisconnectLiveVectorNeedsNoResolver(t *testing.T) {
-	status := statusdb.New(true)
+	status := statusdb.New()
 	if err := status.Connect(0, 2, nil); err != nil {
 		t.Fatal(err)
 	}

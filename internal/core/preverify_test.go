@@ -105,7 +105,7 @@ func TestConnectPreverifiedStaleLinkRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer chain.Close()
-	status := statusdb.New(true)
+	status := statusdb.New()
 	v := NewEBVValidator(status, script.NewEngine(f.gen.Scheme()), chain)
 	for i := 0; i < len(f.ebv)-1; i++ {
 		if _, err := v.ConnectBlock(f.ebv[i]); err != nil {

@@ -32,7 +32,7 @@ type refValidator struct {
 func refFixture(t testing.TB, f *fixture) *refValidator {
 	t.Helper()
 	r := &refValidator{
-		status:  statusdb.New(true),
+		status:  statusdb.New(),
 		engine:  script.NewEngine(f.gen.Scheme()),
 		headers: &memHeaders{},
 	}

@@ -86,7 +86,7 @@ func TestCacheReorgSafety(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { chain.Close() })
-		v := NewEBVValidator(statusdb.New(true), script.NewEngine(genA.Scheme()), chain, opts...)
+		v := NewEBVValidator(statusdb.New(), script.NewEngine(genA.Scheme()), chain, opts...)
 		v.SetBlockOutputsFunc(func(height uint64) int {
 			raw, err := chain.BlockBytes(height)
 			if err != nil {

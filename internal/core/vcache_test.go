@@ -23,7 +23,7 @@ func syncedEBV(t testing.TB, f *fixture, opts ...EBVOption) (*EBVValidator, *sta
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { chain2.Close() })
-	status2 := statusdb.New(true)
+	status2 := statusdb.New()
 	v := NewEBVValidator(status2, script.NewEngine(f.gen.Scheme()), chain2, opts...)
 	for i := 0; i < len(f.ebv)-1; i++ {
 		if _, err := v.ConnectBlock(f.ebv[i]); err != nil {

@@ -101,7 +101,7 @@ func TestWarmDecodeZeroAllocs(t *testing.T) {
 func wireValidator(t testing.TB, f *fixture) (*EBVValidator, *memHeaders) {
 	t.Helper()
 	mh := &memHeaders{hdrs: make([]blockmodel.Header, 0, len(f.ebv))}
-	status := statusdb.New(true)
+	status := statusdb.New()
 	v := NewEBVValidator(status, script.NewEngine(f.gen.Scheme()), mh,
 		WithVerificationCache(vcache.New(0)))
 	v.SetBlockOutputsFunc(func(h uint64) int { return f.ebv[h].TotalOutputs() })

@@ -43,7 +43,7 @@ func newEnv(t *testing.T, blocks int) *env {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.chain.Close() })
-	e.status = statusdb.New(true)
+	e.status = statusdb.New()
 	e.val = core.NewEBVValidator(e.status, script.NewEngine(e.gen.Scheme()), e.chain)
 	// Disconnects may recreate fully spent vectors; resolve output
 	// counts from the stored blocks (see node.New for the real wiring).

@@ -103,7 +103,7 @@ func mustAccept(t *testing.T, v forkchoice.Verdict, err error, want forkchoice.V
 func TestForkChoiceEBVEquivalence(t *testing.T) {
 	c := buildForkCorpus(t, 110, 2, 4)
 
-	nAB, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true})
+	nAB, err := NewEBVNode(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestForkChoiceEBVEquivalence(t *testing.T) {
 	}
 
 	// Fresh node connecting B directly, without any fork-choice engine.
-	nB, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true})
+	nB, err := NewEBVNode(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestForkChoiceEBVEquivalence(t *testing.T) {
 func TestForkChoiceEBVFailedSwitchRestoresState(t *testing.T) {
 	c := buildForkCorpus(t, 110, 2, 4)
 
-	n, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true})
+	n, err := NewEBVNode(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestForkChoiceEBVFailedSwitchRestoresState(t *testing.T) {
 	}
 
 	// And the end state matches a fresh branch-B node.
-	nB, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true})
+	nB, err := NewEBVNode(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestForkChoiceClassicEquivalence(t *testing.T) {
 // block is a plain rejection, exactly the seed behavior.
 func TestAcceptBlockWithoutEngineKeepsSeedBehavior(t *testing.T) {
 	c := buildForkCorpus(t, 110, 1, 2)
-	n, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true})
+	n, err := NewEBVNode(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

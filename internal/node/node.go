@@ -48,8 +48,11 @@ type Config struct {
 	ReadLatency time.Duration
 	// Scheme verifies signatures. Nil means sig.SimSig{}.
 	Scheme sig.Scheme
-	// Optimize enables EBV's sparse-vector optimization (default via
-	// NewEBVNode is on; the Fig. 14 ablation turns it off).
+	// Optimize is kept only so existing configurations compile;
+	// nothing reads it.
+	//
+	// Deprecated: ignored — the status database always stores the
+	// paper's sparse-optimized vectors.
 	Optimize bool
 	// StatusShards is kept only so existing configurations compile;
 	// nothing reads it.
@@ -287,7 +290,7 @@ func NewEBVNode(cfg Config) (*EBVNode, error) {
 	if err != nil {
 		return nil, err
 	}
-	status := statusdb.New(cfg.Optimize)
+	status := statusdb.New()
 	n := &EBVNode{Chain: chain, Status: status, statusPth: filepath.Join(cfg.Dir, "status.snapshot")}
 	if err := status.LoadFile(n.statusPth); err != nil && !os.IsNotExist(err) {
 		chain.Close()

@@ -49,7 +49,7 @@ func TestDualIBDEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer btc.Close()
-	ebv, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true})
+	ebv, err := NewEBVNode(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,22 +148,21 @@ func TestReadLatencyRaisesBaselineDBO(t *testing.T) {
 	}
 }
 
+// TestEBVNoOptUsesMoreMemory replays a chain and compares the status
+// set's footprint (MemUsage, the sparse-optimized encodings) with what
+// the same vectors would take encoded densely (DenseUsage, the no-opt
+// line of Fig. 14).
 func TestEBVNoOptUsesMoreMemory(t *testing.T) {
 	_, _, ebvChain := buildChains(t, 150)
-	run := func(optimize bool) int64 {
-		n, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: optimize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer n.Close()
-		if _, err := RunIBDEBV(ebvChain, n, 0, nil); err != nil {
-			t.Fatal(err)
-		}
-		return n.StatusMemUsage()
+	n, err := NewEBVNode(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
 	}
-	opt := run(true)
-	noOpt := run(false)
-	if opt >= noOpt {
+	defer n.Close()
+	if _, err := RunIBDEBV(ebvChain, n, 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	if opt, noOpt := n.StatusMemUsage(), n.Status.DenseUsage(); opt >= noOpt {
 		t.Fatalf("optimization must reduce memory: %d vs %d", opt, noOpt)
 	}
 }
@@ -212,7 +211,7 @@ func TestEBVNodeRestartResumes(t *testing.T) {
 	dir := t.TempDir()
 
 	// First session: sync half the chain, then close (snapshots state).
-	n1, err := NewEBVNode(Config{Dir: dir, Optimize: true})
+	n1, err := NewEBVNode(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +231,7 @@ func TestEBVNodeRestartResumes(t *testing.T) {
 	}
 
 	// Second session: reopen, resume IBD to the tip.
-	n2, err := NewEBVNode(Config{Dir: dir, Optimize: true})
+	n2, err := NewEBVNode(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +254,7 @@ func TestEBVNodeRestartResumes(t *testing.T) {
 	if err := n2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	n3, err := NewEBVNode(Config{Dir: dir, Optimize: true})
+	n3, err := NewEBVNode(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +271,7 @@ func TestEBVNodeRestartResumes(t *testing.T) {
 func TestEBVNodeRejectsMismatchedSnapshot(t *testing.T) {
 	_, _, ebvChain := buildChains(t, 60)
 	dir := t.TempDir()
-	n1, err := NewEBVNode(Config{Dir: dir, Optimize: true})
+	n1, err := NewEBVNode(Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +285,7 @@ func TestEBVNodeRejectsMismatchedSnapshot(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "status.snapshot")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewEBVNode(Config{Dir: dir, Optimize: true}); err == nil {
+	if _, err := NewEBVNode(Config{Dir: dir}); err == nil {
 		t.Fatal("missing snapshot with non-empty chain must be rejected")
 	}
 }
@@ -331,12 +330,12 @@ func TestBitcoinNodeRestartResumes(t *testing.T) {
 
 func TestParallelValidationNodeAgrees(t *testing.T) {
 	g, _, ebvChain := buildChains(t, 120)
-	seq, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true})
+	seq, err := NewEBVNode(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer seq.Close()
-	par, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true, ParallelValidation: 4})
+	par, err := NewEBVNode(Config{Dir: t.TempDir(), ParallelValidation: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +373,7 @@ func TestReorgRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer btc.Close()
-	evn, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true})
+	evn, err := NewEBVNode(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +431,7 @@ func TestDisconnectEmptyChainFails(t *testing.T) {
 	if err := btc.DisconnectTip(); err == nil {
 		t.Fatal("disconnect on empty chain must fail")
 	}
-	evn, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true})
+	evn, err := NewEBVNode(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +445,7 @@ func TestDisconnectEmptyChainFails(t *testing.T) {
 // disconnected block read as unspent again.
 func TestReorgRestoresProbes(t *testing.T) {
 	_, _, ebvChain := buildChains(t, 120)
-	evn, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true})
+	evn, err := NewEBVNode(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,12 +520,12 @@ func TestBitcoinDisconnectWithoutUndoFails(t *testing.T) {
 func TestPipelinedIBDMatchesSequential(t *testing.T) {
 	g, _, ebvChain := buildChains(t, 180)
 
-	seq, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true})
+	seq, err := NewEBVNode(Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer seq.Close()
-	pipe, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true, PipelineDepth: 4, ParallelValidation: 4})
+	pipe, err := NewEBVNode(Config{Dir: t.TempDir(), PipelineDepth: 4, ParallelValidation: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,7 +592,7 @@ func TestPipelinedIBDFailsLikeSequential(t *testing.T) {
 	}
 
 	run := func(depth int) (string, uint64) {
-		n, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true, PipelineDepth: depth, ParallelValidation: 2})
+		n, err := NewEBVNode(Config{Dir: t.TempDir(), PipelineDepth: depth, ParallelValidation: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -643,7 +642,7 @@ func TestPipelinedIBDEvictsPool(t *testing.T) {
 	}
 
 	for _, depth := range []int{0, 2} {
-		n, err := NewEBVNode(Config{Dir: t.TempDir(), Optimize: true, PipelineDepth: depth, Admission: &AdmissionConfig{}})
+		n, err := NewEBVNode(Config{Dir: t.TempDir(), PipelineDepth: depth, Admission: &AdmissionConfig{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -679,7 +678,7 @@ func TestAdmissionOwnsTheTransactionTier(t *testing.T) {
 		t.Fatal("baseline node accepted an admission config")
 	}
 	for _, admits := range []bool{false, true} {
-		cfg := Config{Dir: t.TempDir(), Optimize: true, VerifyCacheSize: 1 << 10}
+		cfg := Config{Dir: t.TempDir(), VerifyCacheSize: 1 << 10}
 		if admits {
 			cfg.Admission = &AdmissionConfig{}
 		}

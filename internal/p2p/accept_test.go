@@ -34,7 +34,7 @@ func (c *countingChain) BlockBytes(h uint64) ([]byte, error) {
 // read-counting chain. It is not started: peers attach through pipes.
 func newServingNode(t *testing.T, cfg Config, raws ...[][]byte) (*Node, *countingChain, *forkchoice.Engine) {
 	t.Helper()
-	en, err := node.NewEBVNode(node.Config{Dir: t.TempDir(), Optimize: true})
+	en, err := node.NewEBVNode(node.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestTipExtensionReadsNoBlockBytes(t *testing.T) {
 	announcer, announcerChain, _ := newServingNode(t, Config{Relay: &testSource{}, LightServe: true}, below)
 	sub := collect(subscribePipe(t, announcer, raw))
 
-	en, err := node.NewEBVNode(node.Config{Dir: t.TempDir(), Optimize: true})
+	en, err := node.NewEBVNode(node.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,7 @@ func buildForkRaws(t testing.TB, forkAt, lenA, lenB int) *forkRaws {
 // it blocks, and wraps it for gossip with the engine wired in.
 func newForkEBVNode(t *testing.T, raws ...[][]byte) (*Node, *node.EBVNode, *forkchoice.Engine) {
 	t.Helper()
-	en, err := node.NewEBVNode(node.Config{Dir: t.TempDir(), Optimize: true})
+	en, err := node.NewEBVNode(node.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

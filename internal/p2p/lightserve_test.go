@@ -21,7 +21,7 @@ import (
 func newLightServer(t *testing.T, blocks int) (*Node, []byte) {
 	t.Helper()
 	_, store := buildEBVChain(t, blocks)
-	en, err := node.NewEBVNode(node.Config{Dir: t.TempDir(), Optimize: true})
+	en, err := node.NewEBVNode(node.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

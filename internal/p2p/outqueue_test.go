@@ -123,7 +123,7 @@ func TestNeverReadingSubmitter(t *testing.T) {
 	const budget = 32 << 10
 	_, src := buildEBVChain(t, 150)
 	tip, _ := src.TipHeight()
-	en, err := node.NewEBVNode(node.Config{Dir: t.TempDir(), Optimize: true, Admission: &node.AdmissionConfig{}})
+	en, err := node.NewEBVNode(node.Config{Dir: t.TempDir(), Admission: &node.AdmissionConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func buildEBVChain(t testing.TB, blocks int) (*workload.Generator, *chainstore.S
 // newEBVGossipNode creates a fresh EBV node wrapped for gossip.
 func newEBVGossipNode(t testing.TB, cfg Config) (*Node, *node.EBVNode) {
 	t.Helper()
-	en, err := node.NewEBVNode(node.Config{Dir: t.TempDir(), Optimize: true})
+	en, err := node.NewEBVNode(node.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +364,7 @@ func BenchmarkSyncThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		seedNodeDir := b.TempDir()
-		seedEN, err := node.NewEBVNode(node.Config{Dir: seedNodeDir, Optimize: true})
+		seedEN, err := node.NewEBVNode(node.Config{Dir: seedNodeDir})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -379,7 +379,7 @@ func BenchmarkSyncThroughput(b *testing.B) {
 		if _, err := seed.Start(); err != nil {
 			b.Fatal(err)
 		}
-		freshEN, err := node.NewEBVNode(node.Config{Dir: b.TempDir(), Optimize: true})
+		freshEN, err := node.NewEBVNode(node.Config{Dir: b.TempDir()})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,7 +20,6 @@ func newTxSubmitNode(t *testing.T) (*Node, *node.EBVNode) {
 	t.Helper()
 	en, err := node.NewEBVNode(node.Config{
 		Dir:       t.TempDir(),
-		Optimize:  true,
 		Admission: &node.AdmissionConfig{},
 	})
 	if err != nil {

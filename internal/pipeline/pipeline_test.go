@@ -62,7 +62,7 @@ func newDest(t testing.TB, f *pipeFixture) *dest {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { chain.Close() })
-	status := statusdb.New(true)
+	status := statusdb.New()
 	return &dest{
 		chain:  chain,
 		status: status,

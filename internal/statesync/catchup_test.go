@@ -15,7 +15,7 @@ func TestCatchUpReplaysToSourceTip(t *testing.T) {
 	g, src := buildChain(t, 150)
 	tip, _ := src.TipHeight()
 
-	n, err := node.NewEBVNode(node.Config{Dir: t.TempDir(), Optimize: true, PipelineDepth: 4, ParallelValidation: 4})
+	n, err := node.NewEBVNode(node.Config{Dir: t.TempDir(), PipelineDepth: 4, ParallelValidation: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,6 @@ func TestNodeFastSyncWithCatchUp(t *testing.T) {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
 			client, err := node.NewEBVNode(node.Config{
 				Dir:           t.TempDir(),
-				Optimize:      true,
 				PipelineDepth: depth,
 				FastSync:      &statesync.Config{Peers: []string{addr}, Parallel: 2, Logf: t.Logf},
 			})

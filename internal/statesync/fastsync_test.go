@@ -74,7 +74,7 @@ func chainCount(en *node.EBVNode) int { return en.Chain.Count() }
 // localhost. It returns the listen address and the node.
 func newServedNode(t testing.TB, src *chainstore.Store, upto uint64, span uint64) (string, *node.EBVNode) {
 	t.Helper()
-	en, err := node.NewEBVNode(node.Config{Dir: t.TempDir(), Optimize: true})
+	en, err := node.NewEBVNode(node.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func newClientStores(t testing.TB) (*chainstore.Store, *statusdb.DB, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { chain.Close() })
-	return chain, statusdb.New(true), dir
+	return chain, statusdb.New(), dir
 }
 
 func clientConfig(dir string, peers ...string) statesync.Config {
@@ -188,7 +188,7 @@ func TestManifestRoundTripAndRejects(t *testing.T) {
 	for h := uint64(0); h <= tip; h++ {
 		headers[h], _ = src.Header(h)
 	}
-	db := statusdb.New(true)
+	db := statusdb.New()
 	// A synthetic sparse state is enough for codec coverage.
 	if err := db.ImportVectors(tip, nil); err != nil {
 		t.Fatal(err)
@@ -283,7 +283,7 @@ func TestFastSyncMatchesFullIBD(t *testing.T) {
 	if _, err := os.Stat(cfg.Dir); !os.IsNotExist(err) {
 		t.Fatalf("progress dir still present: %v", err)
 	}
-	reloaded := statusdb.New(true)
+	reloaded := statusdb.New()
 	if err := reloaded.LoadFile(cfg.SnapshotPath); err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestManifestContradictingLocalChainIsRejected(t *testing.T) {
 	})
 
 	// The client has already validated a prefix of the real chain.
-	client, err := node.NewEBVNode(node.Config{Dir: t.TempDir(), Optimize: true})
+	client, err := node.NewEBVNode(node.Config{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,7 +642,6 @@ func TestNodeFastSyncBootstrapAndGossipHandoff(t *testing.T) {
 	clientDir := t.TempDir()
 	client, err := node.NewEBVNode(node.Config{
 		Dir:      clientDir,
-		Optimize: true,
 		FastSync: &statesync.Config{Peers: []string{addr}, Parallel: 2},
 	})
 	if err != nil {
@@ -685,7 +684,6 @@ func TestNodeFastSyncBootstrapAndGossipHandoff(t *testing.T) {
 	}
 	reopened, err := node.NewEBVNode(node.Config{
 		Dir:      clientDir,
-		Optimize: true,
 		FastSync: &statesync.Config{Peers: []string{addr}},
 	})
 	if err != nil {

@@ -29,7 +29,7 @@ func TestLoadRejectsDuplicateHeights(t *testing.T) {
 		buf.Write(enc)
 	}
 
-	d := New(true)
+	d := New()
 	if err := d.Connect(0, 7, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestLoadRejectsDuplicateHeights(t *testing.T) {
 // "absent = fully spent" invariant and inflating VectorCount and every
 // snapshot forever.
 func TestConnectZeroOutputBlock(t *testing.T) {
-	d := New(true)
+	d := New()
 	if err := d.Connect(0, 3, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestConnectZeroOutputBlock(t *testing.T) {
 	if err := d.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d2 := New(true)
+	d2 := New()
 	if err := d2.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestConnectZeroOutputBlock(t *testing.T) {
 	}
 
 	// A zero-output genesis leaves a completely empty (but tipped) set.
-	d3 := New(true)
+	d3 := New()
 	if err := d3.Connect(0, 0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestConnectZeroOutputBlock(t *testing.T) {
 // bitvec.Decode(old)) after state had already started changing, so a
 // corrupt stored vector was a mid-reorg panic waiting to happen.
 func TestDisconnectCorruptVectorFailsCleanly(t *testing.T) {
-	d := New(true)
+	d := New()
 	if err := d.Connect(0, 4, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestDisconnectCorruptVectorFailsCleanly(t *testing.T) {
 	}
 
 	// Same for the tip block's own vector.
-	d2 := New(true)
+	d2 := New()
 	if err := d2.Connect(0, 4, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 // Example walks the paper's Fig. 12: connect a block, spend one of its
 // outputs from the next block, and probe the bits.
 func Example() {
-	db := statusdb.New(true)
+	db := statusdb.New()
 
 	// Block 0 creates 3 outputs: vector 111.
 	_ = db.Connect(0, 3, nil)

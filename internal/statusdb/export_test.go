@@ -23,7 +23,7 @@ func appendDigest(data []byte) []byte {
 // mix of live, partially spent, and fully spent vectors.
 func buildSet(t testing.TB) *DB {
 	t.Helper()
-	d := New(true)
+	d := New()
 	if err := d.Connect(0, 4, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestExportPackUnpackImportRoundTrip(t *testing.T) {
 		}
 		all = append(all, got...)
 	}
-	d2 := New(true)
+	d2 := New()
 	if err := d2.ImportVectors(tip, all); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestUnpackRangeRejectsMalformed(t *testing.T) {
 }
 
 func TestImportVectorsRejectsBad(t *testing.T) {
-	d := New(true)
+	d := New()
 	if err := d.ImportVectors(1, []HeightVector{{Height: 2, Enc: nil}}); err == nil {
 		t.Error("height beyond tip must be rejected")
 	}
@@ -149,7 +149,7 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 	if err := d.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	d2 := New(true)
+	d2 := New()
 	if err := d2.LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 }
 
 func TestLoadFileMissing(t *testing.T) {
-	d := New(true)
+	d := New()
 	err := d.LoadFile(filepath.Join(t.TempDir(), "nope"))
 	if !errors.Is(err, fs.ErrNotExist) {
 		t.Fatalf("missing snapshot: %v", err)
@@ -198,7 +198,7 @@ func TestLoadFileDetectsCorruption(t *testing.T) {
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got := New(true)
+		got := New()
 		if err := got.LoadFile(p); !errors.Is(err, ErrCorruptSnapshot) {
 			t.Errorf("%s: err = %v, want ErrCorruptSnapshot", name, err)
 		}

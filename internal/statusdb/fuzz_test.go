@@ -64,7 +64,7 @@ func FuzzLoad(f *testing.F) {
 	full := saveBytes(f, buildSet(f))
 	f.Add(full)
 	f.Add(full[:len(full)/2])
-	f.Add(saveBytes(f, New(true)))
+	f.Add(saveBytes(f, New()))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := buildSet(t)

@@ -40,7 +40,7 @@ func TestSpentOutSetReleasesHeap(t *testing.T) {
 		mapPerSurvivor = 160
 	)
 	before := heapAlloc()
-	d := New(true)
+	d := New()
 	spent := make([]int, blocks) // outputs spent so far, per height
 	var spends []Spend
 	for h := uint64(0); h < blocks; h++ {

@@ -86,7 +86,7 @@ func (m *soakModel) popDisconnect() (uint64, []Restore) {
 // CheckInvariants after every single operation, so a drifting counter
 // is caught at the op that corrupted it.
 func TestStatusDBSoakInvariants(t *testing.T) {
-	d := New(true)
+	d := New()
 	m := newSoakModel()
 	rng := rand.New(rand.NewSource(7))
 	check := func(step int, op string) {
@@ -205,7 +205,7 @@ func replay(d *DB, ops []soakOp) error {
 func TestStatusDBConcurrentSoak(t *testing.T) {
 	ops, m := soakHistory(11, 300)
 
-	d := New(true)
+	d := New()
 	var stop atomic.Bool
 	// disconnects is bumped on both sides of every Disconnect, so it is
 	// odd while one is in flight. Readers probe heights up to a tip read
@@ -279,7 +279,7 @@ func TestStatusDBConcurrentSoak(t *testing.T) {
 	checkAgainstModel(t, "after concurrent replay", d, m)
 
 	// Byte-identical to a quiet replay.
-	ref := New(true)
+	ref := New()
 	if err := replay(ref, ops); err != nil {
 		t.Fatalf("reference %v", err)
 	}
@@ -292,32 +292,28 @@ func TestStatusDBConcurrentSoak(t *testing.T) {
 // chunks (16 heights each, as hex SHA-256 over the concatenated chunk
 // digests) of the concurrent soak's history. Snapshot files and
 // state-sync manifests commit to these bytes, so a change to either
-// format, or to what a commit stores, must show up here. Both
-// encodings produce the same bytes for this history: every live vector
-// is small enough that the sparse encoder picks the dense form.
+// format, or to what a commit stores, must show up here.
 func TestSoakHistoryBytesPinned(t *testing.T) {
 	const (
 		wantSave  = "dde966c72ee78ee9418bb56393ab29c45169ba462ae7e21445adac34c2b4c767"
 		wantPacks = "4248c3d79eca64885b87da36a10c30f825edb4a520882c1a6a55da7279d06175"
 	)
 	ops, _ := soakHistory(11, 300)
-	for _, optimize := range []bool{true, false} {
-		d := New(optimize)
-		if err := replay(d, ops); err != nil {
-			t.Fatal(err)
-		}
-		tip, _, vecs := d.ExportVectors()
-		var digests []byte
-		for from := uint64(0); from <= tip; from += 16 {
-			sum := sha256.Sum256(PackRange(nil, vecs, from, min(from+16, tip+1)))
-			digests = append(digests, sum[:]...)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(saveBytes(t, d))); got != wantSave {
-			t.Errorf("optimize=%v: Save stream SHA-256 %s, want %s", optimize, got, wantSave)
-		}
-		if got := fmt.Sprintf("%x", sha256.Sum256(digests)); got != wantPacks {
-			t.Errorf("optimize=%v: PackRange chunks SHA-256 %s, want %s", optimize, got, wantPacks)
-		}
+	d := New()
+	if err := replay(d, ops); err != nil {
+		t.Fatal(err)
+	}
+	tip, _, vecs := d.ExportVectors()
+	var digests []byte
+	for from := uint64(0); from <= tip; from += 16 {
+		sum := sha256.Sum256(PackRange(nil, vecs, from, min(from+16, tip+1)))
+		digests = append(digests, sum[:]...)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(saveBytes(t, d))); got != wantSave {
+		t.Errorf("Save stream SHA-256 %s, want %s", got, wantSave)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(digests)); got != wantPacks {
+		t.Errorf("PackRange chunks SHA-256 %s, want %s", got, wantPacks)
 	}
 }
 
@@ -333,7 +329,7 @@ func TestBatchProbeSeesWholeCommit(t *testing.T) {
 		blocks  = 256 // outputs per spent-from height, one per block
 		readers = 3
 	)
-	d := New(true)
+	d := New()
 	for h := uint64(0); h < k; h++ {
 		if err := d.Connect(h, blocks, nil); err != nil {
 			t.Fatal(err)

@@ -11,12 +11,13 @@
 // kilobytes for the bench chains), so one sync.RWMutex guards it: the
 // height → encoding map, the accounting counters and the tip. A
 // separate commit mutex serializes the writers (Connect, Disconnect,
-// Load, ImportVectors). A commit runs in two phases. Staging validates
-// the spends and decodes the vectors they touch, in ascending height
-// order, holding only the commit mutex, so readers are not held up.
-// Then the staged vectors are encoded into one slab, and the entries
-// and the new tip are installed under one brief write lock. Staging
-// never mutates, so a commit that fails leaves the set untouched.
+// Load, ImportVectors). A Connect or Disconnect runs in two phases.
+// Staging validates the spends (or restores) and decodes the vectors
+// they touch, in ascending height order, holding only the commit
+// mutex, so readers are not held up. Then one step shared by both
+// encodes the staged vectors into one slab and installs the entries
+// and the new tip under one brief write lock. Staging never mutates,
+// so a commit that fails leaves the set untouched.
 //
 // Consistency model: every read takes the lock once, so any probe —
 // single or batched — and any aggregate (MemUsage, UnspentCount, ...)
@@ -86,15 +87,13 @@ type Spend struct {
 
 // DB is the bit-vector set. The zero value is not usable; call New.
 type DB struct {
-	optimize bool
-
 	// commitMu serializes the writers and is the consistency point
 	// for invariant checks. Writers may read the fields mu guards
 	// without mu, since only a writer changes them. Lock order:
 	// commitMu → mu.
 	commitMu sync.Mutex
 
-	// cs is Connect's reusable staging state; guarded by commitMu.
+	// cs is the writers' reusable staging state; guarded by commitMu.
 	cs commitScratch
 
 	// Heap bounds, guarded by commitMu. peak is the vector count the
@@ -110,58 +109,29 @@ type DB struct {
 	mu       sync.RWMutex
 	vectors  map[uint64][]byte // height -> encoded vector (absent = fully spent)
 	memBytes int64             // sum of encoded sizes + overhead
-	dense    int64             // what the footprint would be without optimization
+	dense    int64             // what the footprint would be with every vector dense
 	ones     int64             // unspent outputs
 	tip      uint64
 	hasTip   bool
 }
 
-// New returns an empty bit-vector set. optimize selects the paper's
-// sparse-vector optimization; pass false to measure the "EBV without
-// optimization" ablation of Fig. 14.
-func New(optimize bool) *DB {
-	return &DB{optimize: optimize, vectors: make(map[uint64][]byte)}
+// New returns an empty bit-vector set.
+func New() *DB {
+	return &DB{vectors: make(map[uint64][]byte)}
 }
 
-func (d *DB) encode(v *bitvec.Vector) []byte {
-	if d.optimize {
-		return v.Encode()
-	}
-	return v.EncodeDense()
-}
-
-// appendEncode appends the bytes encode would produce to dst.
-func (d *DB) appendEncode(dst []byte, v *bitvec.Vector) []byte {
-	if d.optimize {
-		return v.AppendEncode(dst)
-	}
-	return v.AppendDense(dst)
-}
-
-// encodedSize returns len(d.encode(v)) without encoding, so staging
-// can finalize accounting deltas before the encode pass runs.
-func (d *DB) encodedSize(v *bitvec.Vector) int {
-	if d.optimize {
-		return v.EncodedSize()
-	}
-	return v.DenseSize()
-}
-
-// vecPool recycles staging vectors; DecodeInto/ResetAllSet reuse their
-// word storage, so a warm commit decodes without allocating.
+// vecPool recycles staging vectors; DecodeInto/Reset reuse their word
+// storage, so a warm commit decodes without allocating.
 var vecPool = sync.Pool{New: func() any { return new(bitvec.Vector) }}
 
 func getVec() *bitvec.Vector  { return vecPool.Get().(*bitvec.Vector) }
 func putVec(v *bitvec.Vector) { vecPool.Put(v) }
 
-// stagedEntry is one height's validated pending mutation: the new
-// encoding (nil = delete the vector, when v is also nil) plus the
-// accounting deltas its installation adds. Connect stages the mutated
-// vector itself (v, with its known encoded size) and defers
-// serialization to a single encode pass between staging and install;
-// Disconnect stages final encodings directly. size is the new
-// encoding's length (0 for a delete) and oldSize the replaced one's
-// (0 when the height held none).
+// stagedEntry is one height's validated pending mutation: the mutated
+// vector v (nil = delete the height's vector) with its encoded size,
+// plus the accounting deltas its installation adds. encodeStaged turns
+// v into enc. size is the new encoding's length (0 for a delete) and
+// oldSize the replaced one's (0 when the height held none).
 type stagedEntry struct {
 	h                uint64
 	enc              []byte
@@ -170,50 +140,136 @@ type stagedEntry struct {
 	mem, dense, ones int64
 }
 
-// spendGroup is one touched height's run of spends inside the sorted
-// commit scratch: spends[lo:hi], all at height h, in input order.
-type spendGroup struct {
+// heightGroup is one touched height's run inside a commit's sorted
+// scratch: items [lo:hi], all at height h, in input order.
+type heightGroup struct {
 	h      uint64
 	lo, hi int
 }
 
-// spendSorter stable-sorts a spend slice by height. A named type with
-// a pointer receiver keeps sort.Stable from allocating per commit.
-type spendSorter struct{ s []Spend }
-
-func (x *spendSorter) Len() int           { return len(x.s) }
-func (x *spendSorter) Less(i, j int) bool { return x.s[i].Height < x.s[j].Height }
-func (x *spendSorter) Swap(i, j int)      { x.s[i], x.s[j] = x.s[j], x.s[i] }
-
-// commitScratch is Connect's reusable staging state: the sorted spend
-// copy, its height groups, and the staged entries. Guarded by
-// commitMu; reused across commits so a warm connect allocates only
-// the encode slab.
+// commitScratch is the writers' reusable staging state: the sorted
+// copy of a Connect's spends or a Disconnect's restores, its height
+// groups, and the staged entries. Guarded by commitMu; reused across
+// commits so a warm commit allocates only the encode slab.
 type commitScratch struct {
-	spends []Spend
-	sorter spendSorter
-	groups []spendGroup
-	staged []stagedEntry
+	spends   []Spend
+	restores []Restore
+	groups   []heightGroup
+	staged   []stagedEntry
 }
 
-func sortedKeys[V any](m map[uint64]V) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for h := range m {
-		keys = append(keys, h)
+func (s Spend) height() uint64   { return s.Height }
+func (r Restore) height() uint64 { return r.Height }
+
+// groupByHeight copies in into buf and stable-sorts the copy by height
+// — heights ascend and each height keeps its input order, which the
+// error contract depends on — then returns it with its runs of one
+// height appended to groups[:0]. The caller's slice is left as it was.
+func groupByHeight[T interface{ height() uint64 }](buf, in []T, groups []heightGroup) ([]T, []heightGroup) {
+	buf = append(buf[:0], in...)
+	slices.SortStableFunc(buf, func(a, b T) int { return cmp.Compare(a.height(), b.height()) })
+	groups = groups[:0]
+	for i := 0; i < len(buf); {
+		h, j := buf[i].height(), i+1
+		for j < len(buf) && buf[j].height() == h {
+			j++
+		}
+		groups = append(groups, heightGroup{h: h, lo: i, hi: j})
+		i = j
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+	return buf, groups
 }
 
-// install applies staged entries and moves the tip under one write
+// stage records height h's pending mutation: old is the encoding it
+// replaces (nil when the height holds none), v the pooled vector that
+// replaces it, and ones the change in unspent outputs. A v with no
+// 1-bit goes back to the pool and the height's vector is deleted
+// ("absent = fully spent"). Caller holds commitMu.
+func (d *DB) stage(h uint64, old []byte, v *bitvec.Vector, ones int64) {
+	e := stagedEntry{h: h, oldSize: len(old), ones: ones}
+	if old != nil {
+		// A commit never changes a vector's length, so the replaced
+		// encoding's dense size is v's.
+		e.mem -= int64(len(old)) + vectorOverhead
+		e.dense -= int64(v.DenseSize()) + vectorOverhead
+	}
+	if v.AllZero() {
+		putVec(v)
+	} else {
+		e.v, e.size = v, v.EncodedSize()
+		e.mem += int64(e.size) + vectorOverhead
+		e.dense += int64(v.DenseSize()) + vectorOverhead
+	}
+	d.cs.staged = append(d.cs.staged, e)
+}
+
+// commit ends every Connect and Disconnect whose staging succeeded:
+// it encodes the staged vectors into one slab — sized for the whole
+// set when a re-pack is due — installs them with the new tip, and
+// releases the scratch. Caller holds commitMu.
+func (d *DB) commit(tip uint64, hasTip bool) {
+	capacity, repack := d.planRepack()
+	slab := d.encodeStaged(capacity)
+	if !repack {
+		slab = nil
+	}
+	d.install(tip, hasTip, slab)
+	d.releaseStaged()
+}
+
+// planRepack returns the capacity of the commit's encode slab and
+// accounts the commit's allocation. The slab holds the staged
+// encodings alone unless the bytes allocated since the last re-pack
+// would exceed twice the live encoded bytes once they are installed:
+// then repack is true, the slab has room for the whole set, and the
+// count restarts at live. Caller holds commitMu.
+func (d *DB) planRepack() (capacity int, repack bool) {
+	var fresh int64
+	live := d.memBytes - vectorOverhead*int64(len(d.vectors))
+	for _, e := range d.cs.staged {
+		fresh += int64(e.size)
+		live += int64(e.size - e.oldSize)
+	}
+	if d.slabBytes+fresh <= 2*live {
+		d.slabBytes += fresh
+		return int(fresh), false
+	}
+	d.slabBytes = live
+	return int(live), true
+}
+
+// encodeStaged serializes every staged vector into one slab of the
+// given capacity for the whole commit, installed as non-overlapping
+// capacity-clamped sub-slices (preserving the encoding-immutability
+// contract), and returns the slab. Vectors return to the pool as they
+// are encoded. Caller holds commitMu.
+func (d *DB) encodeStaged(capacity int) []byte {
+	staged := d.cs.staged
+	slab := make([]byte, 0, capacity)
+	for i := range staged {
+		e := &staged[i]
+		if e.v == nil {
+			continue
+		}
+		off := len(slab)
+		slab = e.v.AppendEncode(slab)
+		e.enc = slab[off:len(slab):len(slab)]
+		putVec(e.v)
+		e.v = nil
+	}
+	return slab
+}
+
+// install applies the staged entries and moves the tip under one write
 // lock. Installation is pure writes and cannot fail; together with
 // staging never mutating, this is the two-phase structure behind the
 // all-or-nothing commit. A non-nil repack has room for every live
-// encoding staged does not replace: each is copied into it and
-// re-pointed there, which releases the slabs they pinned. staged must
-// be ascending by height. After the install the map shrinks if the
+// encoding the commit does not replace: each is copied into it and
+// re-pointed there, which releases the slabs they pinned. The staged
+// entries ascend by height. After the install the map shrinks if the
 // vectors fell to a quarter of its peak. Caller holds commitMu.
-func (d *DB) install(staged []stagedEntry, tip uint64, hasTip bool, repack []byte) {
+func (d *DB) install(tip uint64, hasTip bool, repack []byte) {
+	staged := d.cs.staged
 	d.mu.Lock()
 	for _, e := range staged {
 		if e.enc == nil {
@@ -243,24 +299,19 @@ func (d *DB) install(staged []stagedEntry, tip uint64, hasTip bool, repack []byt
 // stagedAt orders a staged entry against a height, for binary search.
 func stagedAt(e stagedEntry, h uint64) int { return cmp.Compare(e.h, h) }
 
-// planRepack returns the bytes the staged encodings take (fresh) and
-// the live encoded bytes the set holds once they are installed, and
-// accounts the commit's allocation. It reports repack when the bytes
-// allocated since the last re-pack would exceed twice the live ones:
-// the commit then stores the whole set in new storage, and the count
-// restarts at live. Caller holds commitMu.
-func (d *DB) planRepack(staged []stagedEntry) (fresh, live int64, repack bool) {
-	live = d.memBytes - vectorOverhead*int64(len(d.vectors))
-	for i := range staged {
-		fresh += int64(staged[i].size)
-		live += int64(staged[i].size - staged[i].oldSize)
+// releaseStaged returns any still-staged vectors to the pool and drops
+// the scratch's references to the last commit's entries, so a failed
+// or finished commit does not pin encodings (or a whole slab) beyond
+// its lifetime. Caller holds commitMu.
+func (d *DB) releaseStaged() {
+	cs := &d.cs
+	for i := range cs.staged {
+		if v := cs.staged[i].v; v != nil {
+			putVec(v)
+		}
+		cs.staged[i] = stagedEntry{}
 	}
-	if d.slabBytes+fresh <= 2*live {
-		d.slabBytes += fresh
-		return fresh, live, false
-	}
-	d.slabBytes = live
-	return fresh, live, true
+	cs.staged = cs.staged[:0]
 }
 
 // shrinkMap moves the vectors into a right-sized map once they fall to
@@ -316,29 +367,15 @@ func (d *DB) Connect(height uint64, nOutputs int, spends []Spend) error {
 	if !d.hasTip && height != 0 {
 		return fmt.Errorf("statusdb: first block must be height 0, got %d", height)
 	}
-
-	cs := &d.cs
-	cs.spends = append(cs.spends[:0], spends...)
-	for _, s := range cs.spends {
+	for _, s := range spends {
 		if s.Height >= height {
 			// A block cannot spend its own or future outputs.
 			return fmt.Errorf("%w: spend references height %d in block %d", ErrUnknownBlock, s.Height, height)
 		}
 	}
-	// Stable sort: heights become ascending while each height's spends
-	// keep their input order, which the error contract depends on.
-	cs.sorter.s = cs.spends
-	sort.Stable(&cs.sorter)
-	cs.groups = cs.groups[:0]
-	for i := 0; i < len(cs.spends); {
-		j := i + 1
-		for j < len(cs.spends) && cs.spends[j].Height == cs.spends[i].Height {
-			j++
-		}
-		cs.groups = append(cs.groups, spendGroup{h: cs.spends[i].Height, lo: i, hi: j})
-		i = j
-	}
 
+	cs := &d.cs
+	cs.spends, cs.groups = groupByHeight(cs.spends, spends, cs.groups)
 	for _, g := range cs.groups {
 		if err := d.stageSpends(g); err != nil {
 			d.releaseStaged()
@@ -348,111 +385,47 @@ func (d *DB) Connect(height uint64, nOutputs int, spends []Spend) error {
 	if nOutputs > 0 {
 		nv := getVec()
 		nv.ResetAllSet(nOutputs)
-		size := d.encodedSize(nv)
-		cs.staged = append(cs.staged, stagedEntry{
-			h:     height,
-			v:     nv,
-			size:  size,
-			mem:   int64(size) + vectorOverhead,
-			dense: int64(nv.DenseSize()) + vectorOverhead,
-			ones:  int64(nOutputs),
-		})
+		d.stage(height, nil, nv, int64(nOutputs))
 	}
-
-	fresh, live, repack := d.planRepack(cs.staged)
-	var slab []byte
-	if repack {
-		slab = d.encodeStaged(int(live)) // room for the whole set
-	} else {
-		d.encodeStaged(int(fresh))
-	}
-	d.install(cs.staged, height, true, slab)
-	d.releaseStaged()
+	d.commit(height, true)
 	return nil
-}
-
-// encodeStaged serializes every staged vector into one slab of the
-// given capacity for the whole block, installed as non-overlapping
-// capacity-clamped sub-slices (preserving the encoding-immutability
-// contract), and returns the slab. Vectors return to the pool as they
-// are encoded. Caller holds commitMu.
-func (d *DB) encodeStaged(capacity int) []byte {
-	staged := d.cs.staged
-	slab := make([]byte, 0, capacity)
-	for i := range staged {
-		e := &staged[i]
-		if e.v == nil {
-			continue
-		}
-		off := len(slab)
-		slab = d.appendEncode(slab, e.v)
-		e.enc = slab[off:len(slab):len(slab)]
-		putVec(e.v)
-		e.v = nil
-	}
-	return slab
-}
-
-// releaseStaged returns any still-staged vectors to the pool and drops
-// the scratch's references to the last commit's entries, so a failed
-// or finished commit does not pin encodings (or a whole slab) beyond
-// its lifetime. Caller holds commitMu.
-func (d *DB) releaseStaged() {
-	cs := &d.cs
-	for i := range cs.staged {
-		if v := cs.staged[i].v; v != nil {
-			putVec(v)
-		}
-		cs.staged[i] = stagedEntry{}
-	}
-	cs.staged = cs.staged[:0]
 }
 
 // stageSpends validates and stages one height's spends: decode the
 // stored vector into a pooled scratch vector, clear the bits in input
-// order, and record the mutated vector (nil when fully spent) with its
-// accounting deltas. Serialization is deferred to encodeStaged. Caller
-// holds commitMu, which is all a read of the map needs.
-func (d *DB) stageSpends(g spendGroup) error {
-	cs := &d.cs
-	h := g.h
-	enc, ok := d.vectors[h]
+// order, and stage the result. Caller holds commitMu, which is all a
+// read of the map needs.
+func (d *DB) stageSpends(g heightGroup) error {
+	spends := d.cs.spends[g.lo:g.hi]
+	enc, ok := d.vectors[g.h]
 	if !ok {
 		// Height below the tip with no vector: fully spent block.
-		return fmt.Errorf("%w: height %d position %d", ErrDoubleSpend, h, cs.spends[g.lo].Pos)
+		return fmt.Errorf("%w: height %d position %d", ErrDoubleSpend, g.h, spends[0].Pos)
 	}
 	v := getVec()
-	if err := bitvec.DecodeInto(v, enc); err != nil {
+	if err := clearBits(v, enc, g.h, spends); err != nil {
 		putVec(v)
+		return err
+	}
+	d.stage(g.h, enc, v, -int64(len(spends)))
+	return nil
+}
+
+// clearBits decodes height h's stored encoding into v and clears the
+// bit of every spend, in order.
+func clearBits(v *bitvec.Vector, enc []byte, h uint64, spends []Spend) error {
+	if err := bitvec.DecodeInto(v, enc); err != nil {
 		return fmt.Errorf("statusdb: corrupt vector at height %d: %v", h, err)
 	}
-	for _, sp := range cs.spends[g.lo:g.hi] {
+	for _, sp := range spends {
 		p := sp.Pos
 		if int(p) >= v.Len() {
-			putVec(v)
 			return fmt.Errorf("%w: height %d position %d (block has %d outputs)", ErrOutOfRange, h, p, v.Len())
 		}
 		if !v.Clear(int(p)) {
-			putVec(v)
 			return fmt.Errorf("%w: height %d position %d", ErrDoubleSpend, h, p)
 		}
 	}
-	se := stagedEntry{
-		h:       h,
-		oldSize: len(enc),
-		mem:     -(int64(len(enc)) + vectorOverhead),
-		dense:   -(int64(v.DenseSize()) + vectorOverhead),
-		ones:    -int64(g.hi - g.lo),
-	}
-	if v.AllZero() {
-		putVec(v)
-	} else {
-		se.v = v
-		se.size = d.encodedSize(v)
-		se.mem += int64(se.size) + vectorOverhead
-		se.dense += int64(v.DenseSize()) + vectorOverhead
-	}
-	cs.staged = append(cs.staged, se)
 	return nil
 }
 
@@ -726,119 +699,104 @@ type Restore struct {
 // unchanged: every decode — including the stored vectors being
 // rewritten and the tip vector itself — happens in the staging pass,
 // before any mutation, so a corrupt vector surfaces as an error
-// rather than a mid-reorg panic or a half-applied disconnect. Heights
-// are staged in ascending order, so the error reported is the one at
-// the lowest height.
+// rather than a mid-reorg panic or a half-applied disconnect. Restores
+// are grouped and staged exactly as Connect stages spends — heights
+// ascending, each in input order — so the error reported is the one
+// at the lowest height, and the commit ends in the same encode and
+// install step.
 func (d *DB) Disconnect(height uint64, restores []Restore) error {
 	d.commitMu.Lock()
 	defer d.commitMu.Unlock()
 	if !d.hasTip || height != d.tip {
 		return fmt.Errorf("statusdb: disconnect height %d, tip %d (present=%v)", height, d.tip, d.hasTip)
 	}
-	byHeight := make(map[uint64][]Restore)
 	for _, r := range restores {
 		if r.Height >= height {
 			return fmt.Errorf("%w: restore references height %d at tip %d", ErrUnknownBlock, r.Height, height)
 		}
-		byHeight[r.Height] = append(byHeight[r.Height], r)
 	}
 
-	heights := sortedKeys(byHeight)
-	staged := make([]stagedEntry, 0, len(heights)+1)
-	for _, h := range heights {
-		se, err := d.stageRestores(h, byHeight[h])
-		if err != nil {
+	cs := &d.cs
+	cs.restores, cs.groups = groupByHeight(cs.restores, restores, cs.groups)
+	for _, g := range cs.groups {
+		if err := d.stageRestores(g); err != nil {
+			d.releaseStaged()
 			return err
 		}
-		staged = append(staged, se)
 	}
-
-	tipEntry, err := d.stageTipRemoval(height)
-	if err != nil {
+	if err := d.stageTipRemoval(height); err != nil {
+		d.releaseStaged()
 		return err
 	}
-	if tipEntry != nil {
-		staged = append(staged, *tipEntry)
-	}
-
-	var repack []byte
-	if fresh, live, due := d.planRepack(staged); due {
-		repack = make([]byte, 0, live-fresh)
-	}
 	if height == 0 {
-		d.install(staged, 0, false, repack)
+		d.commit(0, false)
 	} else {
-		d.install(staged, height-1, true, repack)
+		d.commit(height-1, true)
 	}
 	return nil
 }
 
-// stageRestores validates and stages one height's restores: decode
-// the stored vector (or rebuild a zero vector for a block deleted as
-// fully spent), re-set the bits, and record the replacement encoding
-// with its accounting deltas. Caller holds commitMu.
-func (d *DB) stageRestores(h uint64, rs []Restore) (stagedEntry, error) {
-	var v *bitvec.Vector
-	hadOld := false
-	oldLen := 0
-	if enc, ok := d.vectors[h]; ok {
-		var err error
-		v, err = bitvec.Decode(enc)
-		if err != nil {
-			return stagedEntry{}, fmt.Errorf("statusdb: corrupt vector at height %d: %v", h, err)
+// stageRestores validates and stages one height's restores: decode the
+// stored vector into a pooled scratch vector (or reset it to zeros for
+// a block deleted as fully spent), set the bits in input order, and
+// stage the result. Caller holds commitMu.
+func (d *DB) stageRestores(g heightGroup) error {
+	rs := d.cs.restores[g.lo:g.hi]
+	enc := d.vectors[g.h]
+	v := getVec()
+	if err := setBits(v, enc, g.h, rs); err != nil {
+		putVec(v)
+		return err
+	}
+	d.stage(g.h, enc, v, int64(len(rs)))
+	return nil
+}
+
+// setBits loads height h's stored encoding into v — or, when the
+// height holds none, a zero vector of the first restore's declared
+// output count — and sets the bit of every restore, in order.
+func setBits(v *bitvec.Vector, enc []byte, h uint64, rs []Restore) error {
+	if enc != nil {
+		if err := bitvec.DecodeInto(v, enc); err != nil {
+			return fmt.Errorf("statusdb: corrupt vector at height %d: %v", h, err)
 		}
-		hadOld, oldLen = true, len(enc)
 	} else {
 		if rs[0].NOutputs < 0 || rs[0].NOutputs > bitvec.MaxLen {
-			return stagedEntry{}, fmt.Errorf("%w: height %d declared %d outputs", ErrOutOfRange, h, rs[0].NOutputs)
+			return fmt.Errorf("%w: height %d declared %d outputs", ErrOutOfRange, h, rs[0].NOutputs)
 		}
-		v = bitvec.New(rs[0].NOutputs)
+		v.Reset(rs[0].NOutputs)
 	}
 	for _, r := range rs {
 		if r.NOutputs != v.Len() {
-			return stagedEntry{}, fmt.Errorf("%w: height %d declared %d outputs, vector has %d", ErrOutOfRange, h, r.NOutputs, v.Len())
+			return fmt.Errorf("%w: height %d declared %d outputs, vector has %d", ErrOutOfRange, h, r.NOutputs, v.Len())
 		}
 		if int(r.Pos) >= v.Len() {
-			return stagedEntry{}, fmt.Errorf("%w: height %d position %d", ErrOutOfRange, h, r.Pos)
+			return fmt.Errorf("%w: height %d position %d", ErrOutOfRange, h, r.Pos)
 		}
 		if v.Get(int(r.Pos)) {
-			return stagedEntry{}, fmt.Errorf("statusdb: restore of unspent bit %d:%d", h, r.Pos)
+			return fmt.Errorf("statusdb: restore of unspent bit %d:%d", h, r.Pos)
 		}
 		v.Set(int(r.Pos))
 	}
-	se := stagedEntry{h: h, oldSize: oldLen, ones: int64(len(rs))}
-	if hadOld {
-		// Setting bits never changes the length, so the dense size of
-		// the old encoding equals the staged vector's — no second
-		// decode of the stored bytes is needed (or performed) anywhere
-		// past this point.
-		se.mem -= int64(oldLen) + vectorOverhead
-		se.dense -= int64(v.DenseSize()) + vectorOverhead
-	}
-	ne := d.encode(v)
-	se.enc, se.size = ne, len(ne)
-	se.mem += int64(len(ne)) + vectorOverhead
-	se.dense += int64(v.DenseSize()) + vectorOverhead
-	return se, nil
+	return nil
 }
 
-// stageTipRemoval stages dropping the tip block's vector. An absent
-// tip vector (a zero-output block) stages nothing; a corrupt one is
-// an error — raised before any mutation. Caller holds commitMu.
-func (d *DB) stageTipRemoval(height uint64) (*stagedEntry, error) {
+// stageTipRemoval stages dropping the tip block's vector: its bits
+// clear, so stage deletes it. An absent tip vector (a zero-output
+// block) stages nothing; a corrupt one is an error — raised before any
+// mutation. Caller holds commitMu.
+func (d *DB) stageTipRemoval(height uint64) error {
 	enc, ok := d.vectors[height]
 	if !ok {
-		return nil, nil
+		return nil
 	}
-	v, err := bitvec.Decode(enc)
-	if err != nil {
-		return nil, fmt.Errorf("statusdb: corrupt tip vector: %v", err)
+	v := getVec()
+	if err := bitvec.DecodeInto(v, enc); err != nil {
+		putVec(v)
+		return fmt.Errorf("statusdb: corrupt tip vector: %v", err)
 	}
-	return &stagedEntry{
-		h:       height,
-		oldSize: len(enc),
-		mem:     -(int64(len(enc)) + vectorOverhead),
-		dense:   -(int64(v.DenseSize()) + vectorOverhead),
-		ones:    -int64(v.Ones()),
-	}, nil
+	ones := v.Ones()
+	v.Reset(v.Len())
+	d.stage(height, enc, v, -int64(ones))
+	return nil
 }

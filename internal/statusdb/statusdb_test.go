@@ -8,7 +8,7 @@ import (
 )
 
 func TestConnectAndProbe(t *testing.T) {
-	d := New(true)
+	d := New()
 	if err := d.Connect(0, 3, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestConnectAndProbe(t *testing.T) {
 }
 
 func TestDoubleSpendRejected(t *testing.T) {
-	d := New(true)
+	d := New()
 	d.Connect(0, 2, nil)
 	if err := d.Connect(1, 1, []Spend{{Height: 0, Pos: 0}}); err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestDoubleSpendRejected(t *testing.T) {
 }
 
 func TestVectorDeletedWhenAllSpent(t *testing.T) {
-	d := New(true)
+	d := New()
 	d.Connect(0, 2, nil)
 	if d.VectorCount() != 1 {
 		t.Fatalf("VectorCount=%d", d.VectorCount())
@@ -84,7 +84,7 @@ func TestVectorDeletedWhenAllSpent(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	d := New(true)
+	d := New()
 	if _, err := d.IsUnspent(0, 0); !errors.Is(err, ErrUnknownBlock) {
 		t.Fatalf("empty db probe: %v", err)
 	}
@@ -107,15 +107,19 @@ func TestErrors(t *testing.T) {
 	if err := d.Connect(1, 1, []Spend{{Height: 1, Pos: 0}}); !errors.Is(err, ErrUnknownBlock) {
 		t.Fatalf("self-spend: %v", err)
 	}
-	d2 := New(true)
+	d2 := New()
 	if err := d2.Connect(5, 1, nil); err == nil {
 		t.Fatal("first block must be height 0")
 	}
 }
 
+// TestMemoryAccounting checks the set's two footprints on vectors
+// spent down to sparseness: MemUsage (the sparse-optimized encodings,
+// the EBV line of Fig. 14) falls below DenseUsage (the same vectors
+// encoded densely, the no-opt line), and CheckInvariants recomputes
+// both from the stored vectors.
 func TestMemoryAccounting(t *testing.T) {
-	opt := New(true)
-	dense := New(false)
+	d := New()
 	for h := uint64(0); h < 50; h++ {
 		var spends []Spend
 		if h > 0 {
@@ -125,28 +129,24 @@ func TestMemoryAccounting(t *testing.T) {
 				spends = append(spends, Spend{Height: h - 1, Pos: p})
 			}
 		}
-		if err := opt.Connect(h, 100, spends); err != nil {
-			t.Fatal(err)
-		}
-		if err := dense.Connect(h, 100, spends); err != nil {
+		if err := d.Connect(h, 100, spends); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if opt.MemUsage() >= dense.MemUsage() {
-		t.Fatalf("optimized %d must be smaller than dense %d", opt.MemUsage(), dense.MemUsage())
+	if d.MemUsage() >= d.DenseUsage() {
+		t.Fatalf("optimized %d must be smaller than dense %d", d.MemUsage(), d.DenseUsage())
 	}
-	// DenseUsage of the optimized DB equals MemUsage of the dense DB.
-	if opt.DenseUsage() != dense.MemUsage() {
-		t.Fatalf("DenseUsage %d != dense MemUsage %d", opt.DenseUsage(), dense.MemUsage())
+	if err := d.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 	wantOnes := int64(50*100 - 49*97)
-	if opt.UnspentCount() != wantOnes {
-		t.Fatalf("UnspentCount=%d want %d", opt.UnspentCount(), wantOnes)
+	if d.UnspentCount() != wantOnes {
+		t.Fatalf("UnspentCount=%d want %d", d.UnspentCount(), wantOnes)
 	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
-	d := New(true)
+	d := New()
 	rng := rand.New(rand.NewSource(1))
 	for h := uint64(0); h < 30; h++ {
 		var spends []Spend
@@ -174,7 +174,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := d.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d2 := New(true)
+	d2 := New()
 	if err := d2.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -199,13 +199,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsCorrupt(t *testing.T) {
-	d := New(true)
+	d := New()
 	d.Connect(0, 10, nil)
 	var buf bytes.Buffer
 	d.Save(&buf)
 	data := buf.Bytes()
 	for _, cut := range []int{0, 1, len(data) - 1} {
-		d2 := New(true)
+		d2 := New()
 		if err := d2.Load(bytes.NewReader(data[:cut])); err == nil {
 			t.Fatalf("truncation at %d must fail", cut)
 		}
@@ -213,12 +213,12 @@ func TestLoadRejectsCorrupt(t *testing.T) {
 }
 
 func TestEmptySaveLoad(t *testing.T) {
-	d := New(true)
+	d := New()
 	var buf bytes.Buffer
 	if err := d.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	d2 := New(true)
+	d2 := New()
 	if err := d2.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestEmptySaveLoad(t *testing.T) {
 }
 
 func BenchmarkIsUnspent(b *testing.B) {
-	d := New(true)
+	d := New()
 	d.Connect(0, 5000, nil)
 	var spends []Spend
 	for p := uint32(0); p < 4900; p++ {
@@ -245,7 +245,7 @@ func BenchmarkConnect(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		d := New(true)
+		d := New()
 		d.Connect(0, 4000, nil)
 		var spends []Spend
 		for p := uint32(0); p < 2000; p++ {
@@ -259,7 +259,7 @@ func BenchmarkConnect(b *testing.B) {
 }
 
 func TestConcurrentProbesDuringConnects(t *testing.T) {
-	d := New(true)
+	d := New()
 	d.Connect(0, 100, nil)
 	done := make(chan struct{})
 	go func() {
@@ -290,7 +290,7 @@ func TestConcurrentProbesDuringConnects(t *testing.T) {
 }
 
 func TestDisconnectReversesConnect(t *testing.T) {
-	d := New(true)
+	d := New()
 	if err := d.Connect(0, 4, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestDisconnectReversesConnect(t *testing.T) {
 }
 
 func TestDisconnectRecreatesDeletedVector(t *testing.T) {
-	d := New(true)
+	d := New()
 	d.Connect(0, 2, nil)
 	// Block 1 spends both of block 0's outputs → vector 0 deleted.
 	if err := d.Connect(1, 1, []Spend{{Height: 0, Pos: 0}, {Height: 0, Pos: 1}}); err != nil {
@@ -346,7 +346,7 @@ func TestDisconnectRecreatesDeletedVector(t *testing.T) {
 }
 
 func TestDisconnectErrors(t *testing.T) {
-	d := New(true)
+	d := New()
 	if err := d.Disconnect(0, nil); err == nil {
 		t.Fatal("disconnect on empty must fail")
 	}
@@ -381,7 +381,7 @@ func TestDisconnectErrors(t *testing.T) {
 // answer shapes: unspent, spent, fully spent (deleted) vector, height
 // above the tip, position out of range, and the empty set.
 func TestIsUnspentBatchMatchesSingle(t *testing.T) {
-	d := New(true)
+	d := New()
 	if got := d.IsUnspentBatch([]Spend{{Height: 0, Pos: 0}}); got[0].Err == nil {
 		t.Fatal("empty set must report unknown height")
 	}

@@ -49,6 +49,11 @@ echo "== wire client loop (-race) =="
 # out-queue.
 go test -race -count=5 ./internal/light ./internal/statesync
 
+echo "== state-sync manifest fuzz (10 s) =="
+# Manifests arrive from peers: DecodeManifest must never panic, and a
+# manifest it accepts must re-encode to its own bytes.
+go test -run '^$' -fuzz '^FuzzDecodeManifest$' -fuzztime 10s -parallel 4 ./internal/statesync
+
 echo "== status database consistency loop (-race) =="
 # One lock over the status database: every probe, batch and aggregate
 # sees a whole commit or none of it, and exports never tear.
@@ -99,8 +104,8 @@ go test -run 'TestPoolHoldsWireBytes' ./internal/mempool/
 # nothing before the first Add, no allocation on Contains, on an Add
 # that reuses an evicted slot, or on a steady Add+Remove cycle.
 go test -run 'TestFullCacheHeapBudget|TestNewIsLazy|TestSteadyStateZeroAllocs|TestAddRemoveSteadyStateZeroAllocs' ./internal/vcache/
-# The status database's warm commit allocates only its encode slab,
-# and a batch probe into a sized buffer nothing; a set spent down to a
+# The status database's warm Connect and warm Disconnect each allocate
+# only their encode slab, and a batch probe into a sized buffer nothing; a set spent down to a
 # few survivors holds a right-sized map and at most twice their
 # encoded bytes.
 go test -run 'TestWarmCommitAllocs|TestSpentOutSetReleasesHeap' ./internal/statusdb/
